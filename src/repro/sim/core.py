@@ -44,8 +44,10 @@ it as the in-run baseline for the columnar speedup gate.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import (
     Deque,
     Dict,
@@ -100,6 +102,17 @@ class PlacementBackend(Protocol):
     (a fleet of them).  ``try_place`` must *commit* the returned
     placement; ``release`` undoes it, both at completion time and when a
     discipline aborts a speculative placement (EASY reservations).
+
+    Releasing a job placed *last* must restore exactly the free state
+    its ``try_place`` consumed, and placement decisions must depend on
+    nothing but that state.  A ``try_place`` + ``release`` pair is then
+    invisible to every later decision, which is why an aborted
+    placement does not void the core's futile-retry memo (see
+    :meth:`SimulationCore.place`).
+
+    An optional ``max_free_count()`` hook returns the largest per-server
+    free-GPU count in O(1); disciplines fall back to
+    ``max(free_gpu_counts())`` when a backend lacks it.
     """
 
     def can_ever_fit(self, request: AllocationRequest) -> bool:
@@ -299,6 +312,19 @@ class SimulationCore:
         # the backend.
         self._release_epoch = 0
         self._futile: Dict[Hashable, int] = {}
+        # EASY shadow-time support: the running jobs' completions sorted
+        # by (finish, server, GPUs), synced on demand and cached on
+        # (release epoch, number running) — within one epoch _running
+        # only grows (commits), so the pair names its contents.  A None
+        # key forces a rebuild.  Per-server capacities are cached per
+        # fleet size.
+        self._timeline_key: Optional[Tuple[int, int]] = None
+        self._timeline: List[Tuple[float, int, int, Hashable]] = []
+        self._capacities: Tuple[int, ...] = ()
+        #: Scratch a queue discipline keeps between its passes over this
+        #: core (EASY's last-pass summary); owned by the run, so a
+        #: discipline instance reused for another run starts clean.
+        self.discipline_state: Optional[object] = None
         # Scan-cache counter snapshot taken when run() starts, so the
         # log reports *this run's* lookups/hits even when the caller
         # shares one warm cache across replays.
@@ -484,6 +510,7 @@ class SimulationCore:
             if fail is None or not self._retire_allowed(event.server):
                 return
             casualties = fail(event.server)
+            self._timeline_key = None
             requeue: List[Job] = []
             for job_id in casualties:
                 self._running.pop(job_id, None)
@@ -541,6 +568,7 @@ class SimulationCore:
             victim_id = ranked[event.victim_rank % len(ranked)][1]
         self.backend.release(victim_id)
         self._release_epoch += 1
+        self._timeline_key = None
         self._running.pop(victim_id)
         self.queue.append(self._job_objs.pop(victim_id))
 
@@ -551,6 +579,17 @@ class SimulationCore:
     def now(self) -> float:
         """Current simulated time (seconds since trace start)."""
         return self.engine.now
+
+    @property
+    def release_epoch(self) -> int:
+        """Count of events that can grow the free set so far.
+
+        Completions, preemptions, repairs and grows bump it; commits and
+        aborts do not.  While it stands still the backend's free set
+        only shrinks, which is what the futile-retry memo and EASY's
+        arrival-only passes rely on.
+        """
+        return self._release_epoch
 
     def _request(self, job: Job) -> AllocationRequest:
         """The job's allocation request (memoized in columnar mode).
@@ -582,7 +621,9 @@ class SimulationCore:
         job that failed stays unplaceable until something is released
         and the retry is answered without re-probing the backend.
         (A policy that could *fail* on a superset of a free set it
-        *succeeds* on would break this assumption; none exists.)
+        *succeeds* on would break this assumption; none exists.)  An
+        :meth:`abort` restores exactly the free set this call took, so
+        it keeps the memo valid and does not start a new epoch.
         """
         if self._futile.get(job.job_id) == self._release_epoch:
             return None
@@ -729,9 +770,15 @@ class SimulationCore:
         return (job.job_id, count)
 
     def abort(self, placed: PlacedJob) -> None:
-        """Undo a speculative placement (EASY reservation miss)."""
+        """Undo a speculative placement (EASY reservation miss).
+
+        Must directly follow the :meth:`place` that produced ``placed``.
+        The release hands back exactly the GPUs that placement took, so
+        the free set is the one the placement saw: no job became
+        placeable, the release epoch stays, and the futile-retry memo
+        stays valid for the whole queue.
+        """
         self.backend.release(placed.job.job_id)
-        self._release_epoch += 1
 
     def try_start(self, job: Job) -> bool:
         """Place and immediately start ``job`` (the common case).
@@ -798,7 +845,13 @@ class SimulationCore:
         return True
 
     def runtime_estimate(self, job: Job) -> float:
-        """Ideal-bandwidth runtime lower bound, for SJF-style ordering."""
+        """Ideal-bandwidth runtime lower bound, for SJF-style ordering.
+
+        ``execution_time`` at infinite bandwidth.  Every step of the
+        iteration-time model is monotone in the bandwidth, so the float
+        returned is ``<=`` the exact ``exec_time`` of any placement of
+        the job — a bound disciplines may compare against exactly.
+        """
         estimate = self._estimates.get(job.job_id)
         if estimate is None:
             estimate = execution_time(
@@ -814,26 +867,62 @@ class SimulationCore:
         Counts GPUs only (a reservation cannot see intra-server
         fragmentation); exact completion times are known in simulation.
         """
-        frees = list(self.backend.free_gpu_counts())
-        if any(f >= num_gpus for f in frees):
+        frees = self.backend.free_gpu_counts()
+        if max(frees) >= num_gpus:
             return self.engine.now
-        capacities = [
-            self.backend.hardware_for(i).num_gpus for i in range(len(frees))
-        ]
-        if self.columnar:
-            completions = sorted(
-                (row[8], row[0], row[3]) for row in self._running.values()
+        capacities = self._capacities
+        if len(capacities) != len(frees):
+            capacities = self._capacities = tuple(
+                self.backend.hardware_for(i).num_gpus for i in range(len(frees))
             )
-        else:
-            completions = sorted(
-                (pr.record.finish_time, pr.server_index, pr.record.num_gpus)
-                for pr in self._running.values()
-            )
-        for finish_time, server, freed in completions:
+        frees = list(frees)
+        for finish_time, server, freed, _ in self._completion_timeline():
             frees[server] += freed
             if capacities[server] >= num_gpus and frees[server] >= num_gpus:
                 return finish_time
         return float("inf")
+
+    def _completion_timeline(self) -> List[Tuple[float, int, int, Hashable]]:
+        """The running jobs as ``(finish, server, GPUs, job_id)``, sorted.
+
+        Synced lazily, not rebuilt: a completion pops at exactly its
+        job's finish time, so finished jobs sit among the entries due by
+        now, and the jobs started since the last sync are the newest
+        entries of ``_running``.  Server failures and preemptions end
+        jobs early; they clear the key, which forces a rebuild.
+        """
+        running = self._running
+        key = (self._release_epoch, len(running))
+        timeline = self._timeline
+        if key == self._timeline_key:
+            return timeline
+        rebuild = self._timeline_key is None
+        if rebuild:
+            timeline.clear()
+            rows = running.values()
+        else:
+            now = self.engine.now
+            due = 0
+            while due < len(timeline) and timeline[due][0] <= now:
+                due += 1
+            timeline[:due] = [e for e in timeline[:due] if e[3] in running]
+            rows = islice(reversed(running.values()), len(running) - len(timeline))
+        if self.columnar:
+            entries = [(row[8], row[0], row[3], row[1]) for row in rows]
+        else:
+            entries = [
+                (pr.record.finish_time, pr.server_index, pr.record.num_gpus,
+                 pr.record.job_id)
+                for pr in rows
+            ]
+        if rebuild:
+            timeline.extend(entries)
+            timeline.sort()
+        else:
+            for entry in entries:
+                insort(timeline, entry)
+        self._timeline_key = key
+        return timeline
 
     # ------------------------------------------------------------------ #
     @property

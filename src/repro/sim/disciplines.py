@@ -29,6 +29,15 @@ Built-in disciplines
     exact up to GPU counts (the shadow time ignores intra-server
     fragmentation, as real EASY schedulers do).
 
+The backfilling disciplines only attempt a placement whose outcome can
+change.  A job asking for more GPUs than the emptiest server has free
+cannot be placed, and once no server has a free GPU the rest of the
+queue is not walked at all; EASY additionally skips the jobs whose
+runtime lower bound already overruns the shadow time and, between
+releases, re-examines only the jobs whose outcome can have changed (see
+:class:`EasyBackfillDiscipline`).  Every skip is exact: the resulting
+schedule is byte-identical to attempting every job.
+
 Use :func:`register_discipline` to add custom disciplines; they become
 available to both simulators and the CLI by name.
 """
@@ -37,7 +46,9 @@ from __future__ import annotations
 
 import abc
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, Dict, Tuple
+from dataclasses import dataclass
+from itertools import islice
+from typing import TYPE_CHECKING, Callable, Deque, Dict, Iterable, List, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..workloads.jobs import Job
@@ -46,6 +57,19 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Slack added to reservation comparisons so float round-off in event
 #: times never flips a backfill decision.
 _EPS = 1e-9
+
+
+def _max_free_probe(backend: object) -> Callable[[], int]:
+    """The backend's largest per-server free-GPU count, as a callable.
+
+    The O(1) ``max_free_count`` hook where the backend has one, else
+    ``max(free_gpu_counts())``.  No job asking for more GPUs than this
+    can be placed.
+    """
+    probe = getattr(backend, "max_free_count", None)
+    if probe is None:
+        return lambda: max(backend.free_gpu_counts())
+    return probe
 
 
 class QueueDiscipline(abc.ABC):
@@ -84,13 +108,17 @@ class BackfillDiscipline(QueueDiscipline):
 
     def schedule(self, core: "SimulationCore") -> None:
         """Try every queued job in arrival order, keep what will not fit."""
+        max_free_count = _max_free_probe(core.backend)
+        max_free = max_free_count()
+        queue = core.queue
         still: Deque["Job"] = deque()
-        while core.queue:
-            job = core.queue.popleft()
-            if max(core.backend.free_gpu_counts()) < job.num_gpus:
-                still.append(job)
-                continue
-            if not core.try_start(job):
+        for pos, job in enumerate(queue):
+            if not max_free:
+                still.extend(islice(queue, pos, None))
+                break
+            if job.num_gpus <= max_free and core.try_start(job):
+                max_free = max_free_count()
+            else:
                 still.append(job)
         core.queue = still
 
@@ -108,20 +136,43 @@ class ShortestJobFirstDiscipline(QueueDiscipline):
 
     def schedule(self, core: "SimulationCore") -> None:
         """Try queued jobs shortest-estimate first, arrival order on ties."""
+        max_free_count = _max_free_probe(core.backend)
+        max_free = max_free_count()
+        if not max_free:
+            return
         order = sorted(
             enumerate(core.queue),
             key=lambda item: (core.runtime_estimate(item[1]), item[0]),
         )
         started = set()
         for pos, job in order:
-            if max(core.backend.free_gpu_counts()) < job.num_gpus:
-                continue
-            if core.try_start(job):
+            if not max_free:
+                break
+            if job.num_gpus <= max_free and core.try_start(job):
                 started.add(pos)
+                max_free = max_free_count()
         if started:
             core.queue = deque(
                 job for pos, job in enumerate(core.queue) if pos not in started
             )
+
+
+@dataclass
+class _EasyPass:
+    """What one EASY pass leaves for the next (``core.discipline_state``)."""
+
+    #: The queue as the pass left it, and its length then.
+    queue: Deque["Job"]
+    length: int
+    #: The core's release epoch and the head's shadow time then.
+    epoch: int
+    shadow: float
+    #: Jobs started since the last full pass.  Within an epoch only
+    #: these commits change the free set.
+    commits: int
+    #: Jobs placed and then rejected on their exact ``exec_time``, in
+    #: queue order, each with ``commits`` at its rejection.
+    retry: List[Tuple["Job", int]]
 
 
 class EasyBackfillDiscipline(QueueDiscipline):
@@ -132,37 +183,133 @@ class EasyBackfillDiscipline(QueueDiscipline):
     backfill only if its placement finishes by then, so the head is
     never delayed by a backfilled job (up to intra-server fragmentation,
     which GPU-count reservations cannot see).
+
+    A job is placed only to learn its exact runtime, and the placement
+    is committed or aborted at once.  The schedule is the one produced
+    by attempting every queued job in order, but the attempts whose
+    outcome is already known are skipped:
+
+    * a job asking for more GPUs than any server has free cannot be
+      placed, and once no server has a free GPU the walk stops;
+    * a job with ``now + runtime_estimate(job) > shadow + _EPS`` would
+      be aborted if it were placed: the estimate is a float lower bound
+      on every placement's ``exec_time`` and float addition is
+      monotone;
+    * a pass triggered only by arrivals — no release since the last
+      pass, queue grown only at its tail — re-examines only the new
+      tail jobs and the jobs the last pass rejected on their exact
+      ``exec_time``.  Between releases the free set only shrinks, so a
+      job that failed, was too large or had no free GPU to go to still
+      is, and the head still cannot start.  An estimate-skipped job
+      stays skipped while the shadow time does not grow (the pass
+      falls back to a full walk when it does).  A rejected job is the
+      one non-monotone case: a smaller free set can route it to a
+      different server with a shorter ``exec_time``.  So it is placed
+      again — unless no job has started since its rejection, in which
+      case the free set, hence its placement and ``exec_time``, are the
+      ones it was rejected on.
+
+    The skips rely on the same contract as the core's futile-retry memo:
+    placement failure is monotone in the free set, placement is a pure
+    function of the free set, and an abort restores the free set
+    exactly (see :class:`~repro.sim.core.PlacementBackend`).
     """
 
     name = "easy-backfill"
 
     def schedule(self, core: "SimulationCore") -> None:
         """Start what fits, reserve for the head, backfill behind it."""
+        max_free_count = _max_free_probe(core.backend)
         queue = core.queue
-        while queue:
-            placed = core.place(queue[0])
-            if placed is None:
-                break
-            queue.popleft()
-            core.commit(placed)
-        if not queue:
-            return
-        head = queue.popleft()
-        shadow = core.earliest_fit_time(head.num_gpus)
-        rest: Deque["Job"] = deque()
-        while queue:
-            job = queue.popleft()
+        last = core.discipline_state
+        core.discipline_state = None
+        epoch = core.release_epoch
+        shadow = None
+        if (
+            isinstance(last, _EasyPass)
+            and last.queue is queue
+            and last.epoch == epoch
+            and len(queue) >= last.length
+        ):
+            shadow = core.earliest_fit_time(queue[0].num_gpus)
+            if shadow <= last.shadow:
+                commits = last.commits
+                rejected = {id(job): stamp for job, stamp in last.retry}
+                candidates = [job for job, _ in last.retry]
+                candidates.extend(islice(queue, last.length, None))
+            else:
+                shadow = None
+        if shadow is None:
+            commits = 0
+            rejected = {}
+            while queue:
+                job = queue[0]
+                if job.num_gpus > max_free_count():
+                    break
+                placed = core.place(job)
+                if placed is None:
+                    break
+                queue.popleft()
+                core.commit(placed)
+                commits += 1
+            if not queue:
+                return
+            shadow = core.earliest_fit_time(queue[0].num_gpus)
+            candidates = islice(queue, 1, None)
+        started, retry = self._backfill(
+            core, candidates, shadow, max_free_count, commits, rejected
+        )
+        if started:
+            gone = set(map(id, started))
+            queue = core.queue = deque(job for job in queue if id(job) not in gone)
+        core.discipline_state = _EasyPass(
+            queue, len(queue), epoch, shadow, commits + len(started), retry
+        )
+
+    @staticmethod
+    def _backfill(
+        core: "SimulationCore",
+        candidates: Iterable["Job"],
+        shadow: float,
+        max_free_count: Callable[[], int],
+        commits: int,
+        rejected: Dict[int, int],
+    ) -> Tuple[List["Job"], List[Tuple["Job", int]]]:
+        """Start every candidate that fits now and finishes by ``shadow``.
+
+        ``commits`` counts the jobs started since the last full pass;
+        ``rejected`` maps ``id(job)`` to that count at the job's last
+        rejection on its exact execution time.  Returns the jobs started
+        and the jobs rejected (with their stamps), in candidate order.
+        """
+        now = core.now
+        limit = shadow + _EPS
+        estimate = core.runtime_estimate
+        max_free = max_free_count()
+        started: List["Job"] = []
+        retry: List[Tuple["Job", int]] = []
+        for job in candidates:
+            if job.num_gpus > max_free:
+                if not max_free:
+                    break
+                continue
+            if now + estimate(job) > limit:
+                continue
+            if rejected.get(id(job)) == commits:
+                retry.append((job, commits))  # same free set, same verdict
+                continue
             placed = core.place(job)
             if placed is None:
-                rest.append(job)
                 continue
-            if core.now + placed.exec_time <= shadow + _EPS:
+            if now + placed.exec_time <= limit:
                 core.commit(placed)
+                started.append(job)
+                commits += 1
+                max_free = max_free_count()
             else:
                 core.abort(placed)  # would delay the head's reservation
-                rest.append(job)
-        rest.appendleft(head)
-        core.queue = rest
+                retry.append((job, commits))
+        return started, retry
 
 
 # ---------------------------------------------------------------------- #

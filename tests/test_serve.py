@@ -26,11 +26,17 @@ from repro.serve import (
 
 @pytest.fixture
 def serve(tmp_path):
-    """Factory: boot a daemon on a unix socket, drain it on teardown."""
+    """Factory: boot a daemon on a unix socket, drain it on teardown.
+
+    Daemons default to ``drain_grace=0``: teardown force-releases the
+    leases a test leaves behind instead of waiting out the grace period.
+    Tests of the grace period set it explicitly.
+    """
     handles = []
 
     def boot(index=0, **config_kwargs):
         config_kwargs.setdefault("fleet", "dgx1-v100:2")
+        config_kwargs.setdefault("drain_grace", 0.0)
         socket_path = str(tmp_path / f"mapa-{index}.sock")
         handle = start_daemon_thread(
             DaemonConfig(**config_kwargs), socket_path=socket_path
@@ -120,7 +126,7 @@ class TestBasicOps:
 
     def test_tcp_port(self, serve):
         handle = start_daemon_thread(
-            DaemonConfig(fleet="dgx1-v100:1"), port=0
+            DaemonConfig(fleet="dgx1-v100:1", drain_grace=0.0), port=0
         )
         try:
             assert handle.port is not None
