@@ -744,16 +744,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     async def run() -> None:
         await daemon.start(socket_path=args.socket, port=args.port)
         loop = asyncio.get_running_loop()
-
-        async def signal_drain() -> None:
-            await daemon.drain()
-            daemon._shutdown.set()
-
         for sig in (signal.SIGINT, signal.SIGTERM):
             try:
-                loop.add_signal_handler(
-                    sig, lambda: asyncio.ensure_future(signal_drain())
-                )
+                loop.add_signal_handler(sig, daemon.request_shutdown)
             except (NotImplementedError, RuntimeError):  # pragma: no cover
                 pass
         where = args.socket or f"{args.host}:{daemon.port}"

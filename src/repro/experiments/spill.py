@@ -11,10 +11,10 @@ same server wiring shares the partition).
 
 What is spilled
 ---------------
-Winners, not scans.  A cache entry's ``value`` is a dense
-:class:`~repro.policies.scan.BatchScan` (arrays over the whole
-subset × orbit candidate space) — large on disk and cheap to rebuild —
-while what replays actually consume is the per-objective-token *winner*
+Winners, not scans.  A cache entry's ``value`` is a
+:class:`~repro.policies.scan.BatchScan` — a restriction of the cache's
+per-wiring match table, cheap to rebuild once the table exists — while
+what replays actually consume is the per-objective-token *winner*
 memo: the argmax :class:`~repro.policies.base.Allocation` each policy
 selected.  A winner round-trips as its ``(gpus, mapping, scores)``
 triple (the match is rebuilt from the pattern via
@@ -23,7 +23,7 @@ JSON bit-exactly), and the objective token — which carries the model's
 coefficient vector for Eq. 2 winners — round-trips as nested tuples.
 A rehydrated entry therefore serves every spilled winner without
 touching a scan; only a *novel* objective token triggers a lazy
-``batch_scan`` rebuild (see :meth:`repro.scoring.memo.CacheEntry.materialize`),
+restriction of the table (see :meth:`repro.scoring.memo.CacheEntry.materialize`),
 which is bit-identical by construction because the entry's key pins the
 exact wiring, pattern and free set.
 

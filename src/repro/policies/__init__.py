@@ -10,6 +10,7 @@ from .registry import POLICY_NAMES, all_policies, make_policy
 from .scan import (
     BatchScan,
     CachedScan,
+    MatchTable,
     ScoredMatch,
     batch_scan,
     best_scored_match,
@@ -31,6 +32,7 @@ __all__ = [
     "make_policy",
     "BatchScan",
     "CachedScan",
+    "MatchTable",
     "ScoredMatch",
     "batch_scan",
     "best_scored_match",

@@ -108,7 +108,8 @@ class PreservePolicy(AllocationPolicy):
     def _sensitive_proposal(self, scan: BatchScan) -> Allocation:
         """The Eq. 2 winning proposal of one scan (memoized per entry)."""
         best = best_match_by_subset_score(
-            scan, scan.subset_effective_bw(self._predict)
+            scan,
+            scan.subset_effective_bw(self._predict, self.model.coefficients),
         )
         match = match_from_mapping(scan.pattern, best.mapping)
         return Allocation(

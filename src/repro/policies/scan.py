@@ -18,22 +18,27 @@ Three engines implement the scan against the topology's precomputed
   subsets and orbit permutations one at a time with pure integer
   indexing — the original implementation, kept as the reference oracle
   the property tests compare against;
-* the **batch engine** (:class:`BatchScan` and the ``best_*`` batch
-  selectors) builds the subset × orbit candidate space as dense numpy
-  index matrices and scores *every* match of the pattern at once
-  through :mod:`repro.scoring.batch` — censuses via one gather, AggBW
-  via one sum, Eq. 2 via unique-census lookup.  Scores and the selected
-  match are bit-identical to the scalar engine (see
-  :mod:`repro.scoring.batch` for why), just several times faster;
-* the **cached engine** (:class:`CachedScan`) puts a content-addressed
-  memo in front of the batch engine: completed :class:`BatchScan`
-  results — and the argmax winners selected from them — are stored in
-  a :class:`~repro.scoring.memo.ScanCache` keyed by
-  ``(topology_hash, pattern_id, free_set_bitmask)``, so a server that
-  returns to a previously seen free set replays the stored result
-  instead of rescanning.  Cached results *are* batch results (the miss
-  path builds them with :func:`batch_scan` and the hit path returns
-  them unchanged), so the engine stays bit-identical to both others.
+* the **batch engine** scores every match of a pattern once, in a
+  :class:`MatchTable`: the dense builder enumerates the k-subsets of a
+  GPU universe as numpy index matrices and reduces them through
+  :mod:`repro.scoring.batch` — induced censuses via one gather, AggBW
+  for every orbit via one product, Eq. 2 via unique-census lookup.  A
+  scan (:class:`BatchScan`) is a *restriction* of a table: the rows
+  whose subset lies inside the free set, selected by bitmask.
+  :func:`batch_scan` builds a table over the free GPUs and keeps every
+  row; the ``best_*`` selectors read table rows and materialise only
+  the winner.  Scores and the selected match are bit-identical to the
+  scalar engine (see :mod:`repro.scoring.batch` for why);
+* the **cached engine** (:class:`CachedScan`) holds one table per
+  (wiring, pattern), built over the whole server on first contact and
+  kept in the :class:`~repro.scoring.memo.ScanCache`'s ``aux``
+  side-car, and answers each scan by restricting it to the free mask.
+  The restrictions — and the argmax winners selected from them — are
+  stored in the cache keyed by ``(topology_hash, pattern_id,
+  free_set_bitmask)``, so a server that returns to a previously seen
+  free set replays the stored result without even filtering.  A
+  restriction of the server-wide table equals a table built over the
+  free GPUs alone, so the engine stays bit-identical to both others.
   This is what the policies run in production (``engine="cached"``).
 
 Candidate order is shared by both engines: subsets ascend
@@ -47,9 +52,19 @@ the scalar tuple-comparison tie-breaks exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Callable, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -57,7 +72,7 @@ from ..appgraph.application import ApplicationGraph
 from ..matching.candidates import orbit_permutations
 from ..scoring import batch as batch_scoring
 from ..scoring.census import LinkCensus
-from ..scoring.memo import CacheEntry, ScanCache
+from ..scoring.memo import CacheEntry, ScanCache, pattern_id
 from ..topology.hardware import HardwareGraph
 
 Pair = Tuple[int, int]
@@ -201,18 +216,199 @@ def best_scored_match(
 
 
 # ---------------------------------------------------------------------- #
-# the batch engine
+# the batch engine: per-wiring match tables and their restrictions
 # ---------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class BatchScan:
-    """The whole candidate space of one scan, scored as dense arrays.
+@lru_cache(maxsize=256)
+def _orbit_incidence(pattern: ApplicationGraph) -> np.ndarray:
+    """``(P, O)`` 0/1 matrix: column ``o`` marks orbit ``o``'s pair slots.
 
-    One :class:`BatchScan` covers every distinct match of a pattern on
-    the free GPUs: ``num_subsets`` candidate GPU subsets × ``num_orbits``
-    orbit permutations of the pattern.  Match ``(s, o)`` corresponds to
-    the scalar engine's ``s * num_orbits + o``-th yielded
-    :class:`ScoredMatch`, and every array below is bit-identical to the
-    scalar per-match values.
+    Rows follow :func:`~repro.scoring.batch.pair_slots` order
+    (``P = k·(k-1)/2``).  A ``(S, P)`` matrix of per-subset pair values
+    times this matrix sums each orbit's mapped pattern edges — Eq. 1 for
+    every match in one product, exact because bandwidths are
+    integer-valued.  Memoized (read-only) beside :func:`_orbit_index_pairs`.
+    """
+    k = pattern.num_gpus
+    pos = batch_scoring.pair_slot_positions(k)
+    orbit_pairs = _orbit_index_pairs(pattern)
+    incidence = np.zeros((k * (k - 1) // 2, len(orbit_pairs)), dtype=np.float64)
+    for o, pairs in enumerate(orbit_pairs):
+        for a, b in pairs:
+            incidence[pos[a, b], o] = 1.0
+    incidence.flags.writeable = False
+    return incidence
+
+
+@lru_cache(maxsize=512)
+def _subset_masks(m: int, k: int) -> np.ndarray:
+    """Bitmask of every row of ``_subset_matrix(m, k)``: bit ``i`` is index ``i``.
+
+    Int64 while ``m`` bits fit one; Python ints beyond, so a wider
+    custom wiring still filters exactly.  Memoized and read-only.
+    """
+    subsets = _subset_matrix(m, k)
+    if m < 63:
+        masks = np.left_shift(1, subsets).sum(axis=1, dtype=np.int64)
+    else:
+        masks = np.array(
+            [sum(1 << i for i in row) for row in subsets.tolist()], dtype=object
+        )
+    masks.flags.writeable = False
+    return masks
+
+
+def _predict_rows(
+    census: np.ndarray, predict: Callable[[LinkCensus], float]
+) -> np.ndarray:
+    """``predict`` over census rows, once per unique census."""
+    return batch_scoring.map_unique_censuses(
+        census, lambda x, y, z: predict(LinkCensus(x, y, z))
+    )
+
+
+class MatchTable:
+    """Every match of one pattern on one GPU universe, scored once.
+
+    Rows are the ``C(n, k)`` k-subsets of ``verts`` in lexicographic
+    order.  Per row the table holds the subset's bitmask over ``verts``
+    (bit ``i`` is ``verts[i]``; over a whole server that is the
+    :attr:`AllocationState.free_bitmask
+    <repro.allocator.state.AllocationState.free_bitmask>` convention),
+    its induced census, its pairwise-bandwidth sum and the AggBW of each
+    orbit permutation.  None of these depend on which *other* GPUs are
+    free, so one table answers every scan of its (wiring, pattern):
+    :meth:`restrict` keeps the rows whose mask lies inside the free set.
+    Those are exactly the k-subsets of the free GPUs, in the same
+    lexicographic order, so every argmax and tie-break over a
+    restriction is the one a build over the free GPUs alone would make.
+    Only PreservedBW (Eq. 3) reads the free set; the restriction
+    computes it from the free mask.
+
+    Attributes
+    ----------
+    pattern, verts, orbits:
+        The pattern, the universe (ascending GPU ids) and the pattern's
+        orbit permutations in enumeration order.
+    subsets:
+        ``(S, k)`` read-only index rows into ``verts``.
+    masks, full_mask:
+        ``(S,)`` read-only bitmask of each row, and the mask of the
+        whole universe.
+    census:
+        ``(S, 3)`` int64 induced (x, y, z) census (the Eq. 2 input).
+    within:
+        ``(S,)`` float64 sum of the row's pairwise bandwidths.
+    agg_bw:
+        ``(S, O)`` float64 Eq. 1 AggBW per (row, orbit).
+    agg_best, agg_max:
+        Per row, the first orbit attaining the row's largest AggBW and
+        that value — the mapping tie-break every selector applies.
+    bandwidth, codes:
+        ``(n, n)`` bandwidth (zero diagonal) and link-class matrices
+        over ``verts``.
+    """
+
+    def __init__(
+        self,
+        pattern: ApplicationGraph,
+        hardware: HardwareGraph,
+        verts: Sequence[int],
+    ) -> None:
+        k = pattern.num_gpus
+        n = len(verts)
+        link = hardware.link_table
+        rows = link.rows_of(verts)
+        grid = (rows[:, None], rows)
+        codes = link.codes_matrix[grid]
+        bandwidth = link.bandwidth_matrix[grid]
+        np.fill_diagonal(bandwidth, 0.0)
+        subsets = _subset_matrix(n, k)
+        a_idx, b_idx = batch_scoring.pair_slots(k)
+        sub_a = subsets[:, a_idx]
+        sub_b = subsets[:, b_idx]
+        pair_bw = bandwidth[sub_a, sub_b]  # (S, P)
+        self.pattern = pattern
+        self.verts: Tuple[int, ...] = tuple(verts)
+        self.orbits = orbit_permutations(pattern)
+        self.subsets = subsets
+        self.masks = _subset_masks(n, k)
+        self.full_mask = (1 << n) - 1
+        self.census = batch_scoring.batch_census(codes[sub_a, sub_b])
+        self.within = pair_bw.sum(axis=1, dtype=np.float64)
+        self.agg_bw = pair_bw @ _orbit_incidence(pattern)
+        self.agg_best = self.agg_bw.argmax(axis=1)
+        self.agg_max = self.agg_bw.max(axis=1)
+        self.bandwidth = bandwidth
+        self.codes = codes
+        self._code_rows = codes.tolist()
+        self._orbit_pairs = _orbit_index_pairs(pattern)
+        self._effective: Dict[Hashable, np.ndarray] = {}
+
+    def restrict(self, free_mask: int) -> Optional["BatchScan"]:
+        """The scan of the free set ``free_mask`` (bits over ``verts``).
+
+        ``None`` when the pattern does not fit the free set.
+        """
+        busy = self.full_mask & ~free_mask
+        kept = np.flatnonzero((self.masks & busy) == 0)
+        if kept.size == 0:
+            return None
+        return BatchScan(self, kept, free_mask)
+
+    def effective_bw(
+        self, predict: Callable[[LinkCensus], float], token: Hashable
+    ) -> np.ndarray:
+        """Eq. 2 score of every row, memoized per ``token``.
+
+        ``token`` must identify ``predict`` (the policies pass the
+        model's coefficient vector).
+        """
+        scores = self._effective.get(token)
+        if scores is None:
+            scores = self._effective[token] = _predict_rows(self.census, predict)
+        return scores
+
+    # ------------------------------------------------------------------ #
+    def subset(self, row: int) -> Tuple[int, ...]:
+        """GPU ids of row ``row`` (ascending)."""
+        verts = self.verts
+        return tuple([verts[i] for i in self.subsets[row].tolist()])
+
+    def scored_match(self, row: int, o: int) -> ScoredMatch:
+        """Materialise match ``(row, orbit o)`` as a :class:`ScoredMatch`.
+
+        Only ever called for selected winners.  The match census is
+        counted from the link classes of the orbit's edges rather than
+        stored per match.
+        """
+        local = self.subsets[row].tolist()
+        verts = self.verts
+        subset = tuple([verts[i] for i in local])
+        codes = self._code_rows
+        counts = [0, 0, 0]
+        for a, b in self._orbit_pairs[o]:
+            counts[codes[local[a]][local[b]]] += 1
+        x, y, z = self.census[row].tolist()
+        return ScoredMatch(
+            subset=subset,
+            mapping=tuple([subset[p] for p in self.orbits[o]]),
+            census=LinkCensus(x, y, z),
+            match_census=LinkCensus(counts[0], counts[1], counts[2]),
+            agg_bw=float(self.agg_bw[row, o]),
+        )
+
+
+class BatchScan:
+    """The whole candidate space of one scan: a restriction of a table.
+
+    A :class:`BatchScan` is ``(table, kept rows, free mask)``: the
+    :class:`MatchTable` rows whose subsets lie inside the free set.
+    Restricted subset ``s`` is table row ``kept[s]``, and match
+    ``(s, o)`` corresponds to the scalar engine's ``s * num_orbits +
+    o``-th yielded :class:`ScoredMatch`.  The array attributes below are
+    computed on first access, equal (order, dtype, values) to a dense
+    build over the free GPUs; the selectors never touch them and read
+    the table's rows instead.
 
     Attributes
     ----------
@@ -235,30 +431,35 @@ class BatchScan:
         ``(S, O)`` float array — Eq. 1 AggBW per match.
     subset_pair_bw:
         ``(S, P)`` float array of per-subset pairwise bandwidths
-        (``P = k·(k-1)/2``), kept for the Eq. 3 inclusion–exclusion.
+        (``P = k·(k-1)/2``).
     free_bandwidth:
         ``(m, m)`` bandwidth matrix over ``verts`` (zero diagonal).
     """
 
-    pattern: ApplicationGraph
-    verts: Tuple[int, ...]
-    orbits: Tuple[Tuple[int, ...], ...]
-    subsets_local: np.ndarray
-    induced_census: np.ndarray
-    match_census: np.ndarray
-    agg_bw: np.ndarray
-    subset_pair_bw: np.ndarray
-    free_bandwidth: np.ndarray
+    def __init__(self, table: MatchTable, kept: np.ndarray, free_mask: int) -> None:
+        self.table = table
+        self.kept = kept
+        self.free_mask = free_mask
+
+    @property
+    def pattern(self) -> ApplicationGraph:
+        """The application pattern being matched."""
+        return self.table.pattern
+
+    @property
+    def orbits(self) -> Tuple[Tuple[int, ...], ...]:
+        """Orbit permutations of the pattern, in enumeration order."""
+        return self.table.orbits
 
     @property
     def num_subsets(self) -> int:
         """Number of candidate GPU subsets (``C(m, k)``)."""
-        return self.subsets_local.shape[0]
+        return self.kept.shape[0]
 
     @property
     def num_orbits(self) -> int:
         """Distinct orbit permutations of the pattern."""
-        return len(self.orbits)
+        return len(self.table.orbits)
 
     @property
     def num_matches(self) -> int:
@@ -266,31 +467,84 @@ class BatchScan:
         return self.num_subsets * self.num_orbits
 
     # ------------------------------------------------------------------ #
+    # lazy dense views
+    # ------------------------------------------------------------------ #
+    @cached_property
+    def free_index(self) -> np.ndarray:
+        """Table-universe indices of the free GPUs, ascending."""
+        mask = self.free_mask
+        return np.array(
+            [i for i in range(len(self.table.verts)) if mask >> i & 1],
+            dtype=np.intp,
+        )
+
+    @cached_property
+    def verts(self) -> Tuple[int, ...]:
+        """The free GPUs, ascending."""
+        verts = self.table.verts
+        return tuple([verts[i] for i in self.free_index.tolist()])
+
+    @property
+    def _subsets(self) -> np.ndarray:
+        """Kept rows as table-universe indices (not kept on the entry)."""
+        return self.table.subsets[self.kept]
+
+    @cached_property
+    def subsets_local(self) -> np.ndarray:
+        """``(S, k)`` candidate subsets as indices into :attr:`verts`."""
+        rank = np.full(len(self.table.verts), -1, dtype=np.intp)
+        rank[self.free_index] = np.arange(self.free_index.size, dtype=np.intp)
+        return rank[self._subsets]
+
+    @cached_property
+    def induced_census(self) -> np.ndarray:
+        """``(S, 3)`` induced census of each candidate subset."""
+        return self.table.census[self.kept]
+
+    @cached_property
+    def agg_bw(self) -> np.ndarray:
+        """``(S, O)`` Eq. 1 AggBW per match."""
+        return self.table.agg_bw[self.kept]
+
+    @cached_property
+    def match_census(self) -> np.ndarray:
+        """``(S, O, 3)`` census of the links each match's edges occupy."""
+        a_idx, b_idx = batch_scoring.pair_slots(self.pattern.num_gpus)
+        subsets = self._subsets
+        codes = self.table.codes[subsets[:, a_idx], subsets[:, b_idx]]
+        incidence = _orbit_incidence(self.pattern)
+        out = np.empty((self.num_subsets, self.num_orbits, 3), dtype=np.int64)
+        for axis, c in enumerate(batch_scoring.CLASS_CODES):
+            out[..., axis] = (codes == c) @ incidence
+        return out
+
+    @cached_property
+    def subset_pair_bw(self) -> np.ndarray:
+        """``(S, P)`` pairwise bandwidths of each candidate subset."""
+        a_idx, b_idx = batch_scoring.pair_slots(self.pattern.num_gpus)
+        subsets = self._subsets
+        return self.table.bandwidth[subsets[:, a_idx], subsets[:, b_idx]]
+
+    @cached_property
+    def free_bandwidth(self) -> np.ndarray:
+        """``(m, m)`` bandwidth matrix over :attr:`verts`."""
+        index = self.free_index
+        return self.table.bandwidth[index[:, None], index]
+
+    # ------------------------------------------------------------------ #
     def subset(self, s: int) -> Tuple[int, ...]:
         """GPU ids of candidate subset ``s`` (ascending)."""
-        return tuple(self.verts[i] for i in self.subsets_local[s])
+        return self.table.subset(int(self.kept[s]))
 
     def scored_match(self, s: int, o: int) -> ScoredMatch:
-        """Materialise match ``(subset s, orbit o)`` as a :class:`ScoredMatch`.
-
-        Only ever called for selected winners — the hot path stays in
-        array land.
-        """
-        subset = self.subset(s)
-        perm = self.orbits[o]
-        ix, iy, iz = (int(v) for v in self.induced_census[s])
-        mx, my, mz = (int(v) for v in self.match_census[s, o])
-        return ScoredMatch(
-            subset=subset,
-            mapping=tuple(subset[perm[i]] for i in range(len(perm))),
-            census=LinkCensus(ix, iy, iz),
-            match_census=LinkCensus(mx, my, mz),
-            agg_bw=float(self.agg_bw[s, o]),
-        )
+        """Materialise match ``(subset s, orbit o)`` as a :class:`ScoredMatch`."""
+        return self.table.scored_match(int(self.kept[s]), o)
 
     # ------------------------------------------------------------------ #
     def subset_effective_bw(
-        self, predict: Callable[[LinkCensus], float]
+        self,
+        predict: Callable[[LinkCensus], float],
+        token: Optional[Hashable] = None,
     ) -> np.ndarray:
         """Eq. 2 score of every subset's induced census, via ``predict``.
 
@@ -298,17 +552,21 @@ class BatchScan:
         memo cache keeps working across events) and the results are
         broadcast back over the subsets via
         :func:`repro.scoring.batch.map_unique_censuses` — batch values
-        are therefore bit-identical to scalar calls.
+        are therefore bit-identical to scalar calls.  With a ``token``
+        identifying ``predict`` the whole table's scores are memoized
+        under it and a later scan of the table only filters them.
         """
-        return batch_scoring.map_unique_censuses(
-            self.induced_census,
-            lambda x, y, z: predict(LinkCensus(x, y, z)),
-        )
+        if token is None:
+            return _predict_rows(self.induced_census, predict)
+        return self.table.effective_bw(predict, token)[self.kept]
 
     def subset_preserved_bw(self) -> np.ndarray:
         """Eq. 3 score of every subset against the current free set."""
+        table = self.table
+        free = np.zeros(len(table.verts), dtype=np.float64)
+        free[self.free_index] = 1.0
         return batch_scoring.batch_preserved_bw(
-            self.free_bandwidth, self.subsets_local, self.subset_pair_bw
+            table.bandwidth, free, self._subsets, table.within[self.kept]
         )
 
 
@@ -319,63 +577,38 @@ def batch_scan(
 ) -> Optional[BatchScan]:
     """Score every match of ``pattern`` on the free GPUs in one shot.
 
-    Builds the subset × orbit candidate space as index matrices over
-    the remapped link table and reduces them through
-    :mod:`repro.scoring.batch`.  Returns ``None`` when the pattern
-    cannot fit the available GPUs.
+    Builds a :class:`MatchTable` over the free GPUs and keeps all of its
+    rows — the uncached engine and the cached engine's tables share this
+    one builder.  Returns ``None`` when the pattern cannot fit the
+    available GPUs.
     """
     verts = tuple(sorted(set(available)))
-    k = pattern.num_gpus
-    m = len(verts)
-    if k > m:
+    if pattern.num_gpus > len(verts):
         return None
-    table = hardware.link_table
-    rows = table.rows_of(verts)
-    grid = np.ix_(rows, rows)
-    vcodes = table.codes_matrix[grid]
-    vbw = table.bandwidth_matrix[grid]
-    np.fill_diagonal(vbw, 0.0)
-    subsets = _subset_matrix(m, k)
-    a_idx, b_idx = batch_scoring.pair_slots(k)
-    sub_a = subsets[:, a_idx]
-    sub_b = subsets[:, b_idx]
-    scodes = vcodes[sub_a, sub_b]  # (S, P)
-    sbw = vbw[sub_a, sub_b]
-    orbits = orbit_permutations(pattern)
-    pos = batch_scoring.pair_slot_positions(k)
-    orbit_edges = np.array(
-        [[pos[a, b] for a, b in pairs] for pairs in _orbit_index_pairs(pattern)],
-        dtype=np.intp,
-    ).reshape(len(orbits), -1)
-    mcodes = scodes[:, orbit_edges]  # (S, O, E)
-    mbw = sbw[:, orbit_edges]
-    return BatchScan(
-        pattern=pattern,
-        verts=verts,
-        orbits=orbits,
-        subsets_local=subsets,
-        induced_census=batch_scoring.batch_census(scodes),
-        match_census=batch_scoring.batch_census(mcodes),
-        agg_bw=batch_scoring.batch_agg_bw(mbw),
-        subset_pair_bw=sbw,
-        free_bandwidth=vbw,
-    )
+    table = MatchTable(pattern, hardware, verts)
+    return table.restrict(table.full_mask)
 
 
 # ---------------------------------------------------------------------- #
 # the cached engine
 # ---------------------------------------------------------------------- #
 class CachedScan:
-    """Content-addressed front-end over :func:`batch_scan`.
+    """Content-addressed front-end over per-wiring match tables.
 
     The scanning policies (Greedy, Preserve, Oracle) consume this under
     ``engine="cached"``: :meth:`entry` resolves the request's
     ``(topology_hash, pattern_id, free_set_bitmask)`` key against a
-    :class:`~repro.scoring.memo.ScanCache`, building the
-    :class:`BatchScan` only on a miss, and the returned
-    :class:`~repro.scoring.memo.CacheEntry` additionally memoizes each
-    policy's argmax winner per objective token — a hit skips the scan
-    *and* the selection pass.
+    :class:`~repro.scoring.memo.ScanCache`, restricting the
+    (wiring, pattern)'s :class:`MatchTable` only on a miss, and the
+    returned :class:`~repro.scoring.memo.CacheEntry` additionally
+    memoizes each policy's argmax winner per objective token — a hit
+    skips the scan *and* the selection pass.
+
+    The tables live in the cache's ``aux`` side-car under
+    ``("match-table", topology_hash, pattern_id)``: each cache builds a
+    table once, on its first miss for that pair, and
+    :meth:`~repro.scoring.memo.ScanCache.clear` drops them with
+    everything else.
 
     Invalidation is implicit: placement and release deltas flip bits in
     the server's free mask (see
@@ -396,6 +629,17 @@ class CachedScan:
     def __init__(self, cache: Optional[ScanCache] = None) -> None:
         self.cache = cache if cache is not None else ScanCache()
 
+    def table(
+        self, pattern: ApplicationGraph, hardware: HardwareGraph
+    ) -> MatchTable:
+        """The cache's table of ``(wiring, pattern)``, built on first use."""
+        key = ("match-table", hardware.topology_hash, pattern_id(pattern))
+        aux = self.cache.aux
+        table = aux.get(key)
+        if table is None:
+            table = aux[key] = MatchTable(pattern, hardware, hardware.gpus)
+        return table
+
     def entry(
         self,
         pattern: ApplicationGraph,
@@ -403,47 +647,52 @@ class CachedScan:
         available: FrozenSet[int] | Sequence[int],
         free_mask: Optional[int] = None,
     ) -> Optional[CacheEntry]:
-        """The cached (or freshly built) scan for one request.
+        """The cached (or freshly restricted) scan for one request.
 
         ``free_mask`` is the caller's incrementally maintained free-set
         bitmask; when omitted it is derived from ``available``.  The
         caller must pass a mask consistent with ``available`` — the
         allocator threads :attr:`AllocationState.free_bitmask
         <repro.allocator.state.AllocationState.free_bitmask>` down,
-        keeping key construction O(1).  Returns ``None`` when the
-        pattern cannot fit the free set (never cached: the feasibility
-        pre-check makes it rare).
+        keeping key construction O(1), and the mask is what restricts
+        the table.  Returns ``None`` when the pattern cannot fit the
+        free set (never cached: the feasibility pre-check makes it
+        rare).
         """
+        cache = self.cache
         if free_mask is None:
-            free_mask = self.cache.free_mask(hardware, available)
-        key = self.cache.key(hardware, pattern, free_mask)
-        entry = self.cache.lookup(key)
+            free_mask = cache.free_mask(hardware, available)
+        key = cache.key(hardware, pattern, free_mask)
+        entry = cache.lookup(key)
         if entry is None:
-            scan = batch_scan(pattern, hardware, available)
-            if scan is None:
+            if pattern.num_gpus > len(available):
                 return None
-            entry = self.cache.insert(key, scan)
+            scan = self.table(pattern, hardware).restrict(free_mask)
+            entry = cache.insert(key, scan)
         elif entry.value is None:
             # Spill-rehydrated entry: it carries winners but not the
-            # dense scan.  Install (or refresh) the lazy rebuild from
-            # *this* request's inputs — the key pins the exact free
-            # set, so the rebuild is bit-identical to the spilled scan
-            # — and it fires only if a novel objective token asks.
-            snapshot = tuple(available)
-            entry.loader = lambda: batch_scan(pattern, hardware, snapshot)
+            # scan.  Install (or refresh) the lazy restriction of this
+            # cache's table — the key pins the exact free set, so it is
+            # bit-identical to the spilled scan — which fires only if a
+            # novel objective token asks.
+            entry.loader = lambda: self.table(pattern, hardware).restrict(
+                free_mask
+            )
         return entry
 
 
 def best_match_by_agg(scan: BatchScan) -> ScoredMatch:
     """The match maximising AggBW (Greedy's objective), batch engine.
 
-    ``np.argmax`` returns the *first* maximum in subset-major,
-    orbit-minor order — exactly the scalar engine's tie-break towards
-    the lexicographically smallest (subset, mapping).
+    The first maximum in subset-major, orbit-minor order — the scalar
+    engine's tie-break towards the lexicographically smallest (subset,
+    mapping) — lies in the first kept row whose best AggBW is maximal,
+    at that row's first best orbit.
     """
-    flat = int(np.argmax(scan.agg_bw))
-    s, o = divmod(flat, scan.num_orbits)
-    return scan.scored_match(s, o)
+    table = scan.table
+    rows = scan.kept
+    row = int(rows[np.argmax(table.agg_max[rows])])
+    return table.scored_match(row, int(table.agg_best[row]))
 
 
 def best_match_by_subset_score(
@@ -457,11 +706,10 @@ def best_match_by_subset_score(
     Bit-identical scores make the grouping agree with the scalar
     engine's tuple comparisons.
     """
-    cand = np.flatnonzero(subset_scores == subset_scores.max())
-    sub_agg = scan.agg_bw[cand]  # (C, O)
-    flat = int(np.argmax(sub_agg))
-    ci, o = divmod(flat, scan.num_orbits)
-    return scan.scored_match(int(cand[ci]), o)
+    table = scan.table
+    cand = scan.kept[subset_scores == subset_scores.max()]
+    row = int(cand[np.argmax(table.agg_max[cand])])
+    return table.scored_match(row, int(table.agg_best[row]))
 
 
 def best_match_by_preserved(scan: BatchScan) -> Tuple[ScoredMatch, float]:
@@ -479,10 +727,14 @@ def best_match_by_preserved(scan: BatchScan) -> Tuple[ScoredMatch, float]:
     tuple
         The selected :class:`ScoredMatch` and its PreservedBW score.
     """
+    table = scan.table
     preserved = scan.subset_preserved_bw()
     s = int(np.argmax(preserved))
-    o = int(np.argmax(scan.agg_bw[s]))
-    return scan.scored_match(s, o), float(preserved[s])
+    row = int(scan.kept[s])
+    return (
+        table.scored_match(row, int(table.agg_best[row])),
+        float(preserved[s]),
+    )
 
 
 # ---------------------------------------------------------------------- #

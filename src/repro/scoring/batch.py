@@ -137,9 +137,10 @@ def batch_census(codes: np.ndarray) -> np.ndarray:
         Int64 array of shape ``(..., 3)`` holding the ``(x, y, z)``
         counts of each row — the Eq. 2 feature input.
     """
-    return np.stack(
-        [(codes == c).sum(axis=-1) for c in CLASS_CODES], axis=-1
-    ).astype(np.int64)
+    out = np.empty(codes.shape[:-1] + (3,), dtype=np.int64)
+    for axis, c in enumerate(CLASS_CODES):
+        np.sum(codes == c, axis=-1, out=out[..., axis])
+    return out
 
 
 def batch_agg_bw(bandwidths: np.ndarray) -> np.ndarray:
@@ -158,8 +159,7 @@ def map_unique_censuses(census: np.ndarray, predict) -> np.ndarray:
     The one place the unique-then-``np.take`` pattern lives: both
     :func:`batch_effective_bw` and the scan's
     :meth:`~repro.policies.scan.BatchScan.subset_effective_bw` route
-    through it, so the bit-identicality-critical broadcast (including
-    the numpy-2.x ``return_inverse`` shape normalisation) is maintained
+    through it, so the bit-identicality-critical broadcast is maintained
     in exactly one spot.
 
     Parameters
@@ -175,16 +175,24 @@ def map_unique_censuses(census: np.ndarray, predict) -> np.ndarray:
     numpy.ndarray
         Float64 array of ``M`` scores, ``predict``'s values fanned back
         out over duplicate rows with :func:`np.take`.
+
+    Rows are deduplicated through the 1-D key ``(x·B + y)·B + z`` with
+    ``B`` above every count, which sorts exactly like the rows
+    themselves — ``predict`` sees the distinct censuses in the same
+    ascending order ``np.unique(axis=0)`` would give, for a fraction of
+    its cost.
     """
-    census = np.asarray(census)
+    census = np.asarray(census, dtype=np.int64)
     if census.shape[0] == 0:
         return np.zeros(0, dtype=np.float64)
-    uniq, inverse = np.unique(census, axis=0, return_inverse=True)
+    base = int(census.max()) + 1
+    keys = (census[:, 0] * base + census[:, 1]) * base + census[:, 2]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     preds = np.array(
-        [predict(int(x), int(y), int(z)) for x, y, z in uniq],
+        [predict(x, y, z) for x, y, z in census[first].tolist()],
         dtype=np.float64,
     )
-    return np.take(preds, inverse.reshape(census.shape[0]))
+    return np.take(preds, inverse)
 
 
 def batch_effective_bw(
@@ -215,43 +223,44 @@ def batch_effective_bw(
 
 
 def batch_preserved_bw(
-    free_bandwidth: np.ndarray,
+    bandwidth: np.ndarray,
+    free: np.ndarray,
     subsets: np.ndarray,
-    subset_pair_bw: np.ndarray,
+    within: np.ndarray,
 ) -> np.ndarray:
-    """Eq. 3 (PreservedBW) for every candidate subset of the free GPUs.
+    """Eq. 3 (PreservedBW) for candidate subsets of a free set.
 
     Computes, per subset ``S`` of the free set ``F``, the aggregate
     pairwise bandwidth of ``F − S`` by inclusion–exclusion::
 
         preserved(S) = pairs(F) − Σ_{s∈S} rowsum_F(s) + pairs(S)
 
-    which is exact (bit-identical to the scalar sum over the remaining
-    pairs) because link bandwidths are integer-valued.
+    with ``rowsum_F = bandwidth @ f`` for the 0/1 free vector ``f`` and
+    ``pairs(F) = rowsum_F · f / 2``.  Every term is a sum of
+    integer-valued bandwidths, so the result is exact — bit-identical
+    to the scalar sum over the remaining pairs — in any order.
 
     Parameters
     ----------
-    free_bandwidth:
-        ``(m, m)`` symmetric bandwidth matrix over the free GPUs, with
-        a zero diagonal (the link-table remap produced by the scan).
+    bandwidth:
+        ``(n, n)`` symmetric bandwidth matrix over a GPU universe, with
+        a zero diagonal.
+    free:
+        ``(n,)`` float 0/1 vector marking the free GPUs of the universe.
     subsets:
-        ``(S, k)`` integer array of candidate subsets as *local* row
-        indices into ``free_bandwidth``.
-    subset_pair_bw:
-        ``(S, P)`` per-subset pairwise bandwidths (``P = k·(k-1)/2``),
-        i.e. ``pairs(S)`` before summing.
+        ``(S, k)`` integer array of candidate subsets as row indices
+        into ``bandwidth`` (all of them free).
+    within:
+        ``(S,)`` pairwise-bandwidth sum of each subset, ``pairs(S)``.
 
     Returns
     -------
     numpy.ndarray
         Float64 array of ``S`` preserved-bandwidth scores.
     """
-    m = free_bandwidth.shape[0]
-    iu = np.triu_indices(m, 1)
-    total = free_bandwidth[iu].sum(dtype=np.float64)
-    rowsum = free_bandwidth.sum(axis=1, dtype=np.float64)
+    rowsum = bandwidth @ free
+    total = rowsum @ free / 2
     lost = rowsum[subsets].sum(axis=1, dtype=np.float64)
-    within = subset_pair_bw.sum(axis=1, dtype=np.float64)
     return total - lost + within
 
 
@@ -291,8 +300,8 @@ def score_pair_matrix(
     resolves link classes and bandwidths with one :func:`np.take` each,
     then reduces to the ``(x, y, z)`` census and the Eq. 1 sum for all
     ``M`` candidates at once.  (The policy scan itself builds its
-    matrices from the remapped ``(m, m)`` views directly — see
-    :func:`repro.policies.scan.batch_scan` — so this wrapper serves
+    matrices from the remapped ``(n, n)`` views directly — see
+    :class:`repro.policies.scan.MatchTable` — so this wrapper serves
     external callers scoring explicit candidate lists.)
 
     Parameters

@@ -30,12 +30,16 @@ for superseded free sets are never *wrong* — they are exact and become
 hits again the moment the free set recurs — they are merely cold, and
 the LRU bound reclaims them.
 
-The cache stores opaque values (the policies put
-:class:`~repro.policies.scan.BatchScan` objects in it) plus a
-per-entry ``winners`` memo for argmax selections, and counts lookups,
-hits, misses and evictions so replays can report steady-state hit
-rates.  It is deliberately engine-agnostic: nothing here imports the
-policy layer, which keeps the dependency arrow pointing downward.
+The cache stores opaque values plus a per-entry ``winners`` memo for
+argmax selections, and counts lookups, hits, misses and evictions so
+replays can report steady-state hit rates.  The policies' values are
+:class:`~repro.policies.scan.BatchScan` *restrictions*: the kept row
+indices and free mask of a per-(wiring, pattern)
+:class:`~repro.policies.scan.MatchTable` that the cached front-end
+keeps in this cache's :attr:`ScanCache.aux` side-car — entries hold no
+dense arrays of their own.  The cache is deliberately engine-agnostic:
+nothing here imports the policy layer, which keeps the dependency
+arrow pointing downward.
 """
 
 from __future__ import annotations
@@ -118,14 +122,14 @@ class CacheEntry:
     objective name); the policies construct them accordingly.
 
     Entries rehydrated from the persistent spill tier carry their
-    winners but **not** the dense scan (``value is None`` — the arrays
-    are large and cheap to rebuild, the winners are what replays
-    actually consume).  ``loader`` is the deferred rebuild: the cached
-    front-end installs it from the live request's inputs, and
-    :meth:`materialize` invokes it only when a *novel* objective token
-    needs the scan.  Because the entry's key pins the exact
-    (wiring, pattern, free set), the rebuilt scan is bit-identical to
-    the one that was spilled.
+    winners but **not** the scan (``value is None`` — the winners are
+    what replays actually consume).  ``loader`` is the deferred
+    rebuild: the cached front-end installs it from the live request's
+    inputs — a restriction of the cache's match table to the entry's
+    free mask — and :meth:`materialize` invokes it only when a *novel*
+    objective token needs the scan.  Because the entry's key pins the
+    exact (wiring, pattern, free set), the rebuilt scan is
+    bit-identical to the one that was spilled.
     """
 
     key: ScanKey
@@ -189,8 +193,9 @@ class ScanCache:
         # graph (equal graphs share: HardwareGraph hashes by wiring).
         self._bit_masks: Dict[HardwareGraph, Mapping[int, int]] = {}
         # Side-car for content-addressed derivatives computed by higher
-        # layers (e.g. the multi-server scheduler's first-fit decision
-        # memo, namespaced by policy/model fingerprint).  Sharing a
+        # layers (the cached scan's per-(wiring, pattern) match tables,
+        # the multi-server scheduler's first-fit decision memo,
+        # namespaced by policy/model fingerprint).  Sharing a
         # cache across replays shares these too — that is the point:
         # the cache object is the one thing callers already thread
         # through repeated replays of the same fleet.  Values must be

@@ -421,21 +421,35 @@ class AllocationDaemon:
         name = self._server.sockets[0].getsockname()
         return name[1] if isinstance(name, tuple) else None
 
-    async def serve_until_drained(self) -> None:
-        """Run until a ``drain`` (or :meth:`shutdown`) completes."""
+    async def serve_until_drained(self) -> Dict[str, Any]:
+        """Run until shutdown is requested, then drain and stop.
+
+        The request is the ``_shutdown`` event: a client ``drain`` sets
+        it after draining, :meth:`DaemonHandle.stop` sets it from
+        another thread.  The drain is idempotent, so either way the
+        summary returned is the one drain's.
+        """
         assert self._shutdown is not None, "start() first"
         await self._shutdown.wait()
-        await self._stop()
-
-    async def shutdown(self) -> Dict[str, Any]:
-        """Programmatic drain (signal handlers, tests)."""
         summary = await self.drain()
         await self._stop()
         return summary
 
+    def request_shutdown(self) -> None:
+        """Ask :meth:`serve_until_drained` to drain and stop (in-loop)."""
+        self._shutdown.set()
+
     async def _stop(self) -> None:
         if self._server is not None:
             self._server.close()
+        # Connection handlers and pending replies: cancel, then await,
+        # so none is left pending when the loop closes.
+        current = asyncio.current_task()
+        tasks = [task for task in self._conn_tasks if task is not current]
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
         if self._dispatcher is not None:
@@ -445,8 +459,6 @@ class AllocationDaemon:
             except asyncio.CancelledError:
                 pass
             self._dispatcher = None
-        for task in list(self._conn_tasks):
-            task.cancel()
         self.backend.close()
 
     # ------------------------------------------------------------------ #
@@ -454,6 +466,9 @@ class AllocationDaemon:
     # ------------------------------------------------------------------ #
     async def _handle_conn(self, reader, writer) -> None:
         self.metrics.connections += 1
+        task = asyncio.current_task()
+        self._conn_tasks.add(task)
+        task.add_done_callback(self._conn_tasks.discard)
         lock = asyncio.Lock()
 
         async def send(payload: Dict[str, Any]) -> None:
@@ -951,14 +966,20 @@ class DaemonHandle:
         return self.daemon.port
 
     def stop(self, timeout: float = 30.0) -> Dict[str, Any]:
-        """Drain from outside the loop and join the thread."""
-        future = asyncio.run_coroutine_threadsafe(
-            self.daemon.shutdown(), self._loop
-        )
-        summary = future.result(timeout=timeout)
-        self._loop.call_soon_threadsafe(self.daemon._shutdown.set)
+        """Drain from outside the loop, join the thread, return the summary.
+
+        Only wakes the daemon's own :meth:`AllocationDaemon.serve_until_drained`,
+        which finishes the drain on its loop; a daemon a client already
+        drained has closed that loop, and its summary is returned as is.
+        """
+        try:
+            self._loop.call_soon_threadsafe(self.daemon.request_shutdown)
+        except RuntimeError:  # loop closed: a client drain got there first
+            pass
         self._thread.join(timeout=timeout)
-        return summary
+        if self._thread.is_alive():
+            raise TimeoutError(f"daemon did not drain within {timeout} s")
+        return self.daemon._drain_summary
 
     def join(self, timeout: Optional[float] = None) -> None:
         """Wait for the daemon to drain on its own (client-side drain)."""
@@ -997,6 +1018,12 @@ def start_daemon_thread(
         try:
             loop.run_until_complete(daemon.serve_until_drained())
         finally:
+            leftover = asyncio.all_tasks(loop)
+            for task in leftover:
+                task.cancel()
+            loop.run_until_complete(
+                asyncio.gather(*leftover, return_exceptions=True)
+            )
             loop.close()
 
     thread = threading.Thread(target=runner, name="mapa-serve", daemon=True)

@@ -3,11 +3,19 @@
 End-to-end churn: random allocate/release sequences driven through two
 copies of each scanning policy — one per engine — asserting every
 proposed allocation (GPUs, mapping, full score dict) is equal, exactly.
+
+The cached engine answers scans by restricting a server-wide match
+table to the free set; on every built-in wiring, a restriction must
+equal a dense build over the free GPUs attribute by attribute, and the
+winners all three engines select must be the same.
 """
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.allocator.mapa import Mapa
 from repro.appgraph import patterns
@@ -16,8 +24,16 @@ from repro.policies.greedy import GreedyPolicy
 from repro.policies.oracle import OraclePolicy
 from repro.policies.preserve import PreservePolicy
 from repro.policies.registry import make_policy
+from repro.policies.scan import CachedScan, batch_scan
+from repro.scoring.effective import PAPER_MODEL
+from repro.scoring.memo import ScanCache
 from repro.scoring.regression import fit_for_hardware
-from repro.topology.builders import dgx1_v100, summit_node
+from repro.topology.builders import (
+    TOPOLOGY_BUILDERS,
+    by_name,
+    dgx1_v100,
+    summit_node,
+)
 
 _PATTERNS = ("ring", "chain", "tree", "star", "alltoall")
 
@@ -105,6 +121,124 @@ def test_oracle_engines_identical_under_churn():
         seed=3,
         events=25,  # the microbenchmark makes oracle scans expensive
     )
+
+
+# ---------------------------------------------------------------------- #
+# table restrictions vs dense builds, on every built-in wiring
+# ---------------------------------------------------------------------- #
+_WIRINGS = {name: by_name(name) for name in sorted(TOPOLOGY_BUILDERS)}
+
+#: The dense arrays a scan exposes (lazily, on a restriction).
+_SCAN_ARRAYS = (
+    "subsets_local",
+    "induced_census",
+    "match_census",
+    "agg_bw",
+    "subset_pair_bw",
+    "free_bandwidth",
+)
+
+
+def _assert_restriction_equals_dense(pattern, hardware, free):
+    """The server-wide table restricted to ``free`` == a build over ``free``."""
+    cached = CachedScan()
+    mask = cached.cache.free_mask(hardware, free)
+    scan = cached.table(pattern, hardware).restrict(mask)
+    dense = batch_scan(pattern, hardware, free)
+    if dense is None:
+        assert scan is None
+        return
+    assert scan.verts == dense.verts
+    assert scan.orbits == dense.orbits
+    assert scan.num_matches == dense.num_matches
+    for name in _SCAN_ARRAYS:
+        got, want = getattr(scan, name), getattr(dense, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+    np.testing.assert_array_equal(
+        scan.subset_preserved_bw(), dense.subset_preserved_bw()
+    )
+    np.testing.assert_array_equal(
+        scan.subset_effective_bw(
+            PAPER_MODEL.predict_census, PAPER_MODEL.coefficients
+        ),
+        dense.subset_effective_bw(PAPER_MODEL.predict_census),
+    )
+    if scan.num_matches <= 2000:
+        for s in range(scan.num_subsets):
+            for o in range(scan.num_orbits):
+                assert scan.scored_match(s, o) == dense.scored_match(s, o)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    wiring=st.sampled_from(sorted(_WIRINGS)),
+    shape=st.sampled_from(_PATTERNS),
+    k=st.integers(min_value=1, max_value=5),
+    data=st.data(),
+)
+def test_restriction_equals_dense_build_on_every_wiring(wiring, shape, k, data):
+    hardware = _WIRINGS[wiring]
+    free = data.draw(st.sets(st.sampled_from(hardware.gpus)), label="free")
+    _assert_restriction_equals_dense(
+        _make_pattern(shape, k), hardware, sorted(free)
+    )
+
+
+@pytest.mark.parametrize("wiring", sorted(_WIRINGS))
+def test_cached_and_batch_winners_equal_scalar_on_random_free_sets(wiring):
+    hardware = _WIRINGS[wiring]
+    rng = random.Random(wiring)
+    shared = ScanCache()
+    engines = {
+        engine: {
+            "greedy": GreedyPolicy(engine=engine, cache=shared),
+            "preserve": PreservePolicy(engine=engine, cache=shared),
+            "oracle": OraclePolicy(engine=engine, cache=shared),
+        }
+        for engine in ("cached", "batch", "scalar")
+    }
+    for trial in range(10):
+        # Scalar scans stay small: at most 10 free GPUs, 8 for the
+        # oracle's per-subset microbenchmark.
+        size = rng.randint(1, min(hardware.num_gpus, 10))
+        free = frozenset(rng.sample(hardware.gpus, size))
+        k = rng.randint(1, min(5, size))
+        name = rng.choice(_PATTERNS)
+        for sensitive in (True, False):
+            request = AllocationRequest(_make_pattern(name, k), sensitive)
+            for policy in ("greedy", "preserve", "oracle"):
+                if policy == "oracle" and size > 8:
+                    continue
+                want = engines["scalar"][policy].allocate(request, hardware, free)
+                context = f"{wiring} trial {trial}: {policy} {name}({k}) on {sorted(free)}"
+                for engine in ("cached", "batch"):
+                    got = engines[engine][policy].allocate(request, hardware, free)
+                    _assert_allocations_equal(got, want, f"{engine} {context}")
+
+
+def test_idle_dgx2_five_gpu_chain():
+    """The largest table the paper mix reaches: C(16, 5) × 60 matches."""
+    hardware = by_name("dgx2")
+    pattern = patterns.chain(5)
+    idle = frozenset(hardware.gpus)
+    _assert_restriction_equals_dense(pattern, hardware, hardware.gpus)
+    for cls, sensitive in (
+        (GreedyPolicy, True),
+        (PreservePolicy, True),
+        (PreservePolicy, False),
+    ):
+        request = AllocationRequest(pattern, sensitive)
+        want = cls(engine="scalar").allocate(request, hardware, idle)
+        for engine in ("cached", "batch"):
+            got = cls(engine=engine).allocate(request, hardware, idle)
+            _assert_allocations_equal(
+                got, want, f"{cls.name} sensitive={sensitive} {engine}"
+            )
 
 
 def test_registry_passes_engine_through():

@@ -16,9 +16,13 @@ from hypothesis import strategies as st
 from repro.allocator.state import AllocationState
 from repro.appgraph import patterns
 from repro.cluster import MultiServerScheduler
+from repro.experiments.spill import ScanSpillStore
 from repro.policies.base import AllocationRequest
+from repro.policies.greedy import GreedyPolicy
+from repro.policies.preserve import PreservePolicy
+from repro.policies.scan import CachedScan, MatchTable
 from repro.scenarios import FleetSpec
-from repro.scoring.memo import ScanCache
+from repro.scoring.memo import ScanCache, pattern_id
 from repro.topology.builders import by_name, dgx1_v100
 
 
@@ -147,6 +151,69 @@ class TestCachedEngineEquivalence:
         assert p1.allocation.gpus == p2.allocation.gpus
         stats = scheduler.scan_cache.stats
         assert (stats.lookups, stats.hits, stats.misses) == (2, 1, 1)
+
+
+# ---------------------------------------------------------------------- #
+# per-wiring match tables
+# ---------------------------------------------------------------------- #
+def _tables(cache):
+    """The match tables a cache holds in its aux side-car."""
+    return [v for v in cache.aux.values() if isinstance(v, MatchTable)]
+
+
+class TestMatchTables:
+    def test_spill_rehydrated_entry_rebuilds_through_the_cache_table(
+        self, tmp_path
+    ):
+        hw = dgx1_v100()
+        pattern = patterns.ring(3)
+        free = frozenset(hw.gpus[1:7])
+        request = AllocationRequest(pattern, bandwidth_sensitive=True)
+        source = ScanCache()
+        spilled = PreservePolicy(cache=source).allocate(request, hw, free)
+        ScanSpillStore(str(tmp_path)).spill(source)
+
+        warmed = ScanCache()
+        assert ScanSpillStore(str(tmp_path)).load(warmed) == 1
+        # A spilled token is served from the winner memo: no table.
+        again = PreservePolicy(cache=warmed).allocate(request, hw, free)
+        assert again.gpus == spilled.gpus
+        assert _tables(warmed) == []
+        # A novel token restricts this cache's (fresh) table.
+        got = GreedyPolicy(cache=warmed).allocate(request, hw, free)
+        want = GreedyPolicy(engine="scalar").allocate(request, hw, free)
+        assert (got.gpus, got.match, dict(got.scores)) == (
+            want.gpus, want.match, dict(want.scores)
+        )
+        table = warmed.aux[("match-table", hw.topology_hash, pattern_id(pattern))]
+        (entry,) = warmed.entries()
+        assert entry.value.table is table
+        assert entry.value.verts == tuple(sorted(free))
+
+    def test_clear_drops_tables_and_caches_never_share_one(self):
+        hw = dgx1_v100()
+        pattern = patterns.ring(3)
+        a, b = CachedScan(), CachedScan()
+        entry_a = a.entry(pattern, hw, hw.gpus)
+        entry_b = b.entry(pattern, hw, hw.gpus)
+        assert entry_a.value.table is a.table(pattern, hw)
+        assert entry_b.value.table is b.table(pattern, hw)
+        assert a.table(pattern, hw) is not b.table(pattern, hw)
+        assert len(_tables(a.cache)) == len(_tables(b.cache)) == 1
+        a.cache.clear()
+        assert _tables(a.cache) == []
+        assert a.table(pattern, hw) is not entry_a.value.table
+        assert _tables(b.cache) == [entry_b.value.table]
+
+    def test_one_table_per_wiring_and_pattern_across_a_fleet(self):
+        # Identically wired servers and every free set share one table.
+        fleet = FleetSpec.parse("dgx1-v100:1,big-basin:1,dgx1-p100:1")
+        scheduler = MultiServerScheduler(fleet.build(), node_policy="spread")
+        for i in range(6):
+            scheduler.try_place(_request((True, 3, "ring", True), i))
+        tables = _tables(scheduler.scan_cache)
+        assert len(tables) == 2
+        assert {t.verts for t in tables} == {dgx1_v100().gpus}
 
 
 # ---------------------------------------------------------------------- #

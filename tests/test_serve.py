@@ -23,6 +23,13 @@ from repro.serve import (
     start_daemon_thread,
 )
 
+#: Daemon task hygiene: no task left pending, no coroutine left unawaited.
+pytestmark = [
+    pytest.mark.usefixtures("no_pending_tasks"),
+    pytest.mark.filterwarnings("error::RuntimeWarning"),
+    pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"),
+]
+
 
 @pytest.fixture
 def serve(tmp_path):

@@ -27,6 +27,13 @@ from repro.serve import AllocationClient, DaemonConfig, start_daemon_thread
 
 FLEET = "dgx1-v100:2,dgx1-p100:1"
 
+#: Daemon task hygiene: no task left pending, no coroutine left unawaited.
+pytestmark = [
+    pytest.mark.usefixtures("no_pending_tasks"),
+    pytest.mark.filterwarnings("error::RuntimeWarning"),
+    pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"),
+]
+
 
 def _scenario(num_jobs=40, seed=7):
     fleet = FleetSpec.parse(FLEET)
