@@ -4,8 +4,8 @@ The dynamics axis (:mod:`repro.scenarios.dynamics`) injects server
 failure/repair, autoscale grow/shrink and preemption into a fleet
 replay as first-class seeded events.  Its contract is the same one
 every other replay path carries: a fixed seed must produce the same
-log byte for byte on every engine (``cached`` / ``batch``), every core
-(``columnar`` / ``object``) and every shard count — chaos included.
+log byte for byte on every engine (``cached`` / ``batch``) and every
+shard count — chaos included.
 
 Four deterministic tables (all golden-snapshotted):
 
@@ -16,8 +16,8 @@ Four deterministic tables (all golden-snapshotted):
    changes absorbed mid-replay;
 3. ``chaos_preempt`` — preemption count × victim policy;
 4. ``chaos_mixed`` — the full-chaos identity matrix: one scenario with
-   all axes enabled, replayed on every engine × core and at 1/2/4
-   process shards, each digest shown and gated identical.
+   all axes enabled, replayed on every engine and at 1/2/4 process
+   shards, each digest shown and gated identical.
 
 The mixed-scenario digest is additionally gated against the committed
 ``BENCH_fleet_chaos.json`` baseline, so any replay-order or float
@@ -254,16 +254,12 @@ def _mixed_matrix(
     digests: List[Tuple[str, str]] = []
     all_stats: Dict[str, Dict[str, float]] = {}
     for engine in ("cached", "batch"):
-        for core in ("columnar", "object"):
-            sim = run_cluster(
-                fleet.build(),
-                job_file,
-                engine=engine,
-                core=core,
-                dynamics=MIXED_DYNAMICS,
-            )
-            digests.append((f"{engine}/{core}", _digest(sim.log)))
-            all_stats[f"{engine}_{core}"] = sim.log.cache_stats or {}
+        sim = run_cluster(
+            fleet.build(), job_file, engine=engine, dynamics=MIXED_DYNAMICS
+        )
+        # "/columnar" names the replay core, as the golden rows always have.
+        digests.append((f"{engine}/columnar", _digest(sim.log)))
+        all_stats[engine] = sim.log.cache_stats or {}
     for shards in SHARD_COUNTS:
         log = run_sharded(
             fleet,
@@ -346,8 +342,8 @@ def build_tables() -> Tuple[Dict[str, str], Dict[str, object], bool]:
 def _assert_gates(gates: Dict[str, object], identical: bool) -> None:
     """The CI gates, shared by pytest and standalone runs."""
     assert identical, (
-        "full-chaos replays are not byte-identical across engines, "
-        "cores and shard counts"
+        "full-chaos replays are not byte-identical across engines "
+        "and shard counts"
     )
     if os.path.exists(BASELINE_PATH):
         with open(BASELINE_PATH, "r", encoding="utf-8") as fh:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import inspect
 from typing import Dict, Hashable, Optional, Tuple
 
-from ..matching.candidates import Match
 from ..policies.base import Allocation, AllocationPolicy, AllocationRequest
 from ..scoring.aggregate import aggregated_bandwidth
 from ..scoring.census import census_of_allocation
@@ -39,16 +38,6 @@ class Mapa:
         effective bandwidth (independent of whatever the policy used
         internally), so every policy's decisions are scored on the same
         yardstick — exactly how Fig. 13(c, d) compares policies.
-    annotate_memo:
-        ``"split"`` (default) memoizes the three score components by
-        their *own* minimal keys — AggBW by the match's edge tuple,
-        census/Eq. 2 by the GPU tuple, Eq. 3 PreservedBW by the
-        post-allocation free bitmask — so a winner commits cheaply even
-        on a never-seen free set, as long as any component recurred.
-        ``"combined"`` keeps the historical single memo keyed by the
-        whole (free set, GPUs, edges, score keys) tuple; the fleet
-        benchmark's object-mode baseline runs with it.  Both are exact
-        replays of the uncached math, byte-identical by construction.
     """
 
     def __init__(
@@ -56,32 +45,18 @@ class Mapa:
         hardware: HardwareGraph,
         policy: AllocationPolicy,
         model: EffectiveBandwidthModel = PAPER_MODEL,
-        annotate_memo: str = "split",
     ) -> None:
         self.hardware = hardware
         self.policy = policy
         self.model = model
         self.state = AllocationState(hardware)
         self._anon_counter = 0
-        if annotate_memo not in ("split", "combined"):
-            raise ValueError(
-                f"annotate_memo must be 'split' or 'combined', got {annotate_memo!r}"
-            )
-        self.annotate_memo = annotate_memo
-        # Combined mode: the full score vector of a committed
-        # allocation is a pure function of (free set, GPUs, match
-        # edges, which scores the policy already filled in) for this
-        # engine's fixed hardware/model, and replays commit the same
-        # winners on recurring free sets over and over.  One run, one
-        # lifetime; keys are the state's incremental bitmask plus the
-        # proposal's identity tuples.
-        self._annotate_memo: Dict[Tuple, Dict[str, float]] = {}
-        # Split mode: each component keyed by exactly what it depends
-        # on.  aggregated_bandwidth reads only the match's edges;
-        # census_of_allocation / Eq. 2 read only the GPU tuple; Eq. 3
-        # PreservedBW is remaining_bandwidth of the *post-allocation*
-        # free set, so its key is the pre-commit bitmask with the
-        # matched vertices' bits cleared.
+        # Annotation memos: each score component keyed by exactly what
+        # it depends on.  aggregated_bandwidth reads only the match's
+        # edges; census_of_allocation / Eq. 2 read only the GPU tuple;
+        # Eq. 3 PreservedBW is remaining_bandwidth of the
+        # *post-allocation* free set, so its key is the pre-commit
+        # bitmask with the matched vertices' bits cleared.
         self._agg_memo: Dict[Tuple, float] = {}
         self._census_memo: Dict[Tuple[int, ...], Tuple[float, float, float, float]] = {}
         self._preserved_memo: Dict[int, float] = {}
@@ -169,10 +144,25 @@ class Mapa:
     ) -> Allocation:
         """Fill in the full score vector and the committed ``job_id``.
 
-        Memoized per (pre-commit free bitmask, GPUs, match edges,
-        policy-filled score keys): an exact replay of the uncached
-        computation, so repeated commits of a cached winner on a
-        recurring free set skip the census/Eq. 2/Eq. 3 recomputation.
+        Each component is memoized by its own minimal key — AggBW by
+        the match's edge tuple, census/Eq. 2 by the GPU tuple, Eq. 3
+        PreservedBW by the post-allocation free bitmask — so a winner
+        commits cheaply even on a never-seen free set, as long as any
+        component recurred.  Every cached value is the exact result of
+        the uncached call.  Policy-filled scores win (``agg_bw``,
+        ``effective_bw`` and ``preserved_bw`` are only filled in when
+        absent); census_x/y/z are always (re)written from the induced
+        census, since Eq. 2 operates on the matched GPU set (E(P) ⊆
+        E(M): the match is the induced subgraph).
+
+        The finished score vector is additionally pinned onto the
+        proposal *object* (keyed by the model's coefficient vector).
+        Scan-cache winner objects live exactly as long as their
+        content-addressed ``(wiring, pattern, free set)`` entry — every
+        input of the annotation is fixed for the object's lifetime — so
+        a recurring winner re-annotates in one dict lookup, across
+        replays when the cache is shared.  Engines that build fresh
+        proposals per call (batch/scalar) simply never hit this memo.
         The memoized dict is shared read-only — :class:`Allocation`
         copies it into its frozen mapping view at construction.
         """
@@ -184,56 +174,6 @@ class Mapa:
                 scores=dict(alloc.scores),
                 job_id=job_id,
             )
-        if self.annotate_memo == "split":
-            return self._annotate_split(alloc, match, available, job_id)
-        key = (
-            self.state.free_bitmask,
-            alloc.gpus,
-            match.edges,
-            frozenset(alloc.scores),
-        )
-        scores = self._annotate_memo.get(key)
-        if scores is None:
-            scores = dict(alloc.scores)
-            scores.setdefault("agg_bw", aggregated_bandwidth(self.hardware, match))
-            # Eq. 2 operates on the induced census of the matched GPU set
-            # (E(P) ⊆ E(M): the match is the induced subgraph).
-            census = census_of_allocation(self.hardware, alloc.gpus)
-            scores["census_x"] = float(census.x)
-            scores["census_y"] = float(census.y)
-            scores["census_z"] = float(census.z)
-            scores.setdefault(
-                "effective_bw", self.model.predict_census(census)
-            )
-            scores.setdefault(
-                "preserved_bw",
-                preserved_bandwidth(self.hardware, match, available),
-            )
-            self._annotate_memo[key] = scores
-        return Allocation(
-            gpus=alloc.gpus, match=match, scores=scores, job_id=job_id
-        )
-
-    def _annotate_split(
-        self, alloc: Allocation, match: Match, available, job_id: Hashable
-    ) -> Allocation:
-        """Component-wise annotation memo (``annotate_memo="split"``).
-
-        Identical arithmetic to the combined path — each component is
-        the same pure function call, just cached under its minimal key.
-        Policy-filled scores still win (the ``setdefault`` discipline),
-        and census_x/y/z are still unconditionally (re)written from the
-        induced census, exactly as the combined path does.
-
-        The finished score vector is additionally pinned onto the
-        proposal *object* (keyed by the model's coefficient vector).
-        Scan-cache winner objects live exactly as long as their
-        content-addressed ``(wiring, pattern, free set)`` entry — every
-        input of the annotation is fixed for the object's lifetime — so
-        a recurring winner re-annotates in one dict lookup, across
-        replays when the cache is shared.  Engines that build fresh
-        proposals per call (batch/scalar) simply never hit this memo.
-        """
         memo: Optional[Dict[Tuple[float, ...], Dict[str, float]]] = getattr(
             alloc, "_annotated", None
         )

@@ -18,7 +18,6 @@ from .sharding import (
 )
 from .simulator import (
     ClusterJobRecord,
-    ClusterSimulator,  # deprecated alias of MultiServerSimulator
     MultiServerSimulator,
     run_cluster,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "aggregate_cache_stats",
     "run_sharded",
     "ClusterJobRecord",
-    "ClusterSimulator",
     "MultiServerSimulator",
     "run_cluster",
 ]

@@ -391,9 +391,7 @@ class MultiServerScheduler:
         model: EffectiveBandwidthModel = PAPER_MODEL,
         engine: str = "cached",
         scan_cache: Optional[ScanCache] = None,
-        annotate_memo: str = "split",
         scan_spill: Optional[object] = None,
-        fast_paths: bool = True,
     ) -> None:
         if not servers:
             raise ValueError("cluster needs at least one server")
@@ -423,37 +421,17 @@ class MultiServerScheduler:
             if engine == "cached"
             else None
         )
-        self.engines: List[Mapa] = [
-            Mapa(
-                hw,
-                make_policy(
-                    gpu_policy, model, engine=engine, cache=self.scan_cache
-                ),
-                model,
-                annotate_memo=annotate_memo,
-            )
-            for hw in servers
-        ]
         # Construction knobs retained for autoscale grow: add_server()
-        # builds the new engine exactly as __init__ would have.
+        # builds the new engine exactly as __init__ does.
         self._gpu_policy = gpu_policy
         self._engine_kind = engine
-        self._annotate_memo = annotate_memo
+        self.engines: List[Mapa] = [self._make_engine(hw) for hw in servers]
         # Fleet-dynamics membership: one status per engine ("up",
         # "failed" or "drained"), plus the construction-time fleet size
         # so reset() can truncate grown servers.
         self._status: List[str] = ["up"] * len(self.engines)
         self._initial_servers = len(self.engines)
         self._max_capacity = max(e.hardware.num_gpus for e in self.engines)
-        # ``fast_paths=False`` replays the pre-columnar scheduling loop
-        # exactly: the bucket-merge candidate iterator instead of the
-        # O(buckets) first-fit resolve, the dirty-*set* drain instead
-        # of the boolean consume, and no decision memo.  The object
-        # simulation core runs with it so the fleet benchmark's
-        # columnar gate measures against the historical warm-cache
-        # number, not a retro-tuned one.  Results are identical either
-        # way — only speed differs.
-        self._fast_paths = fast_paths
         # Decision memo (first-fit fast path only): for a fixed policy
         # and model, the committed winner — GPUs, match and the full
         # annotated score vector — is a pure function of (server
@@ -467,7 +445,7 @@ class MultiServerScheduler:
         # policy/model fingerprint — the cache object is exactly what
         # callers thread through repeated replays, so decisions stay
         # warm across runs just like scans do.
-        if fast_paths and self.scan_cache is not None:
+        if self.scan_cache is not None:
             policy_type = type(self.engines[0].policy)
             fingerprint = (
                 "first-fit-decisions",
@@ -525,6 +503,19 @@ class MultiServerScheduler:
         """Fleet-wide free-GPU count."""
         return sum(e.state.num_free for e in self.engines)
 
+    def _make_engine(self, hardware: HardwareGraph) -> Mapa:
+        """One server's MAPA engine, on the fleet-shared scan cache."""
+        return Mapa(
+            hardware,
+            make_policy(
+                self._gpu_policy,
+                self.model,
+                engine=self._engine_kind,
+                cache=self.scan_cache,
+            ),
+            self.model,
+        )
+
     def can_ever_fit(self, request: AllocationRequest) -> bool:
         """Whether any (idle) server could host the request (O(1))."""
         return request.num_gpus <= self._max_capacity
@@ -541,7 +532,7 @@ class MultiServerScheduler:
         """Largest per-server free-GPU count, O(1) off the index.
 
         The optional :class:`~repro.sim.core.PlacementBackend` hook the
-        columnar FIFO loop uses to reject doomed head retries on a
+        inlined FIFO loop uses to reject doomed head retries on a
         saturated fleet without touching the placement path.
         """
         return self._index.max_free
@@ -588,10 +579,7 @@ class MultiServerScheduler:
         cached winner for the server's current free mask stays live).
         """
         state = self.engines[server_index].state
-        changed = (
-            state.consume_dirty() if self._fast_paths else bool(state.drain_dirty())
-        )
-        if changed:
+        if state.consume_dirty():
             self._index.set_free(server_index, state.num_free)
 
     def resync_index(self) -> None:
@@ -695,17 +683,7 @@ class MultiServerScheduler:
         wiring twins.  Returns the new server index (always the highest:
         membership history never renumbers incumbents).
         """
-        engine = Mapa(
-            hardware,
-            make_policy(
-                self._gpu_policy,
-                self.model,
-                engine=self._engine_kind,
-                cache=self.scan_cache,
-            ),
-            self.model,
-            annotate_memo=self._annotate_memo,
-        )
+        engine = self._make_engine(hardware)
         self.engines.append(engine)
         self._status.append("up")
         self._topo_hashes.append(hardware.topology_hash)
@@ -761,7 +739,7 @@ class MultiServerScheduler:
             raise ValueError("cluster placement requires a job_id")
         if self.node_policy == "best-score":
             return self._place_best_score(request)
-        if self._order == "index" and self._fast_paths:
+        if self._order == "index":
             # first-fit fast path: the registered policies match every
             # k-subset of the free GPUs (absent links score zero, they
             # never make a subset infeasible), so the first candidate

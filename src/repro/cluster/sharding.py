@@ -502,9 +502,7 @@ class _ShardRuntime:
             model=cfg.model,
             engine=cfg.engine,
             scan_cache=ScanCache() if cfg.engine == "cached" else None,
-            annotate_memo="split",
             scan_spill=spill,
-            fast_paths=True,
         )
         self._mbw_memo: Dict[Tuple[str, Tuple[int, ...]], float] = {}
         self._mbw_lookups = 0

@@ -13,7 +13,6 @@ can be analysed.
 
 from __future__ import annotations
 
-import warnings
 from typing import Deque, Dict, List, Sequence
 
 from ..scoring.effective import EffectiveBandwidthModel, PAPER_MODEL
@@ -48,14 +47,9 @@ class MultiServerSimulator:
         scheduling: str = "fifo",
         engine: str = "cached",
         scan_cache=None,
-        core: str = "columnar",
         scan_spill=None,
         dynamics=None,
     ) -> None:
-        if core not in ("columnar", "object"):
-            raise ValueError(
-                f"core must be 'columnar' or 'object', got {core!r}"
-            )
         self.scheduler = MultiServerScheduler(
             servers,
             gpu_policy=gpu_policy,
@@ -63,12 +57,7 @@ class MultiServerSimulator:
             model=model,
             engine=engine,
             scan_cache=scan_cache,
-            # The object core reproduces the historical replay loop end
-            # to end: the combined annotation memo it ran with, the
-            # bucket-merge candidate walk, the dirty-set drain.
-            annotate_memo="split" if core == "columnar" else "combined",
             scan_spill=scan_spill,
-            fast_paths=(core == "columnar"),
         )
         self.scheduling = scheduling
         self.core = SimulationCore(
@@ -77,7 +66,6 @@ class MultiServerSimulator:
             log=SimulationLog(
                 f"{gpu_policy}/{node_policy}", f"cluster[{len(servers)}]"
             ),
-            columnar=(core == "columnar"),
             dynamics=dynamics,
         )
 
@@ -113,33 +101,6 @@ class MultiServerSimulator:
         return self.core.log
 
 
-class _DeprecatedAliasMeta(type):
-    """Keeps ``isinstance(sim, ClusterSimulator)`` working for every
-    :class:`MultiServerSimulator` (e.g. the ones ``run_cluster`` returns),
-    not just those constructed through the deprecated name."""
-
-    def __instancecheck__(cls, instance: object) -> bool:
-        """Any :class:`MultiServerSimulator` counts as the alias."""
-        return isinstance(instance, MultiServerSimulator)
-
-
-class ClusterSimulator(MultiServerSimulator, metaclass=_DeprecatedAliasMeta):
-    """Deprecated alias of :class:`MultiServerSimulator`.
-
-    The old name collided with the single-server
-    :class:`repro.sim.cluster.ClusterSimulator`; import the new name.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        warnings.warn(
-            "repro.cluster.ClusterSimulator is deprecated; use "
-            "repro.cluster.MultiServerSimulator instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(*args, **kwargs)
-
-
 def run_cluster(
     servers: Sequence[HardwareGraph],
     job_file: JobFile,
@@ -149,7 +110,6 @@ def run_cluster(
     scheduling: str = "fifo",
     engine: str = "cached",
     scan_cache=None,
-    core: str = "columnar",
     scan_spill=None,
     dynamics=None,
 ) -> MultiServerSimulator:
@@ -162,13 +122,10 @@ def run_cluster(
     ``scan_cache`` optionally supplies the cached engine's backing
     store, letting a caller keep it warm across repeated replays of
     the same fleet (cache keys are content-addressed, so reuse can
-    only ever change speed, not results).  ``core`` selects the
-    simulation core: ``"columnar"`` (default, the struct-of-arrays hot
-    path) or ``"object"`` (the historical object-per-event loop, kept
-    as the bit-identical baseline the fleet benchmark's columnar gate
-    measures against).  ``scan_spill`` optionally attaches a persistent
-    scan-cache tier (:class:`repro.experiments.spill.ScanSpillStore`):
-    the shared cache is warm-started from it at construction, and
+    only ever change speed, not results).  ``scan_spill`` optionally
+    attaches a persistent scan-cache tier
+    (:class:`repro.experiments.spill.ScanSpillStore`): the shared cache
+    is warm-started from it at construction, and
     ``sim.scheduler.spill_scan_cache()`` writes it back.  ``dynamics``
     optionally injects a seeded fleet-chaos axis
     (:class:`repro.scenarios.dynamics.DynamicsSpec`): failures,
@@ -182,7 +139,6 @@ def run_cluster(
         scheduling,
         engine=engine,
         scan_cache=scan_cache,
-        core=core,
         scan_spill=scan_spill,
         dynamics=dynamics,
     )

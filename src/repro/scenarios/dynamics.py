@@ -39,8 +39,8 @@ Event semantics (implemented by the simulation cores and the
 
 Determinism contract: fleet events are injected into the engines at
 :data:`~repro.sim.engine.FLEET_PRIORITY`, so a mutation that collides
-with a job event's timestamp always applies *first* — identically on
-the columnar and object cores and at every shard count.
+with a job event's timestamp always applies *first* — identically in
+the simulation core, its reference oracle and at every shard count.
 """
 
 from __future__ import annotations

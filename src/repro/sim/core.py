@@ -27,19 +27,17 @@ Eq. 2 *predicted* effective bandwidth and the microbenchmark *measured*
 effective bandwidth — the columns behind the validation scatter of
 Fig. 15.
 
-Two execution modes share the loop.  The default **columnar** mode is
-the struct-of-arrays hot path: arrivals are bulk-scheduled into the
-columnar :class:`~repro.sim.engine.EventEngine` (one vectorised sort
-instead of N heap pushes), allocation requests are built once per job,
-running jobs are plain field tuples, and completions append straight
-into the :class:`~repro.sim.records.SimulationLog` column buffers —
-no :class:`JobRecord` / :class:`PlacementRecord` objects exist unless
-someone asks for them (``placements`` materialises lazily).  The
-**object** mode (``columnar=False``) preserves the historical
-object-per-event path — `heapq` entries, eager dataclass records —
-bit-identical by construction; the property tests replay random traces
-through both and compare serialisations, and the fleet benchmark uses
-it as the in-run baseline for the columnar speedup gate.
+The loop is struct-of-arrays throughout: arrivals are bulk-scheduled
+into the columnar :class:`~repro.sim.engine.EventEngine` (one
+vectorised sort instead of N heap pushes), allocation requests are
+built once per job, running jobs are plain field tuples, and
+completions append straight into the
+:class:`~repro.sim.records.SimulationLog` column buffers — no
+:class:`JobRecord` / :class:`PlacementRecord` objects exist unless
+someone asks for them (``placements`` materialises lazily).  Its
+reference oracle — a heap engine, place-and-commit FIFO, no memo
+anywhere — lives in ``tests/reference/replay.py``; the property tests
+replay random traces through both and compare serialisations.
 """
 
 from __future__ import annotations
@@ -66,7 +64,7 @@ from ..topology.hardware import HardwareGraph
 from ..workloads.exectime import execution_time
 from ..workloads.jobs import Job, JobFile
 from .disciplines import FifoDiscipline, QueueDiscipline
-from .engine import FLEET_PRIORITY, EventEngine, HeapEventEngine
+from .engine import FLEET_PRIORITY, EventEngine
 from .records import JobRecord, SimulationLog
 
 _ARRIVAL = "arrival"
@@ -178,7 +176,7 @@ class SingleServerBackend:
     def max_free_count(self) -> int:
         """Largest per-server free-GPU count (optional backend hook).
 
-        The columnar FIFO loop uses it as an O(1) infeasibility bound:
+        The inlined FIFO loop uses it as an O(1) infeasibility bound:
         a head job requesting more GPUs than any server has free cannot
         be placed, so its post-completion retry is skipped without
         entering the placement path at all.
@@ -231,13 +229,6 @@ class SimulationCore:
     log:
         The :class:`~repro.sim.records.SimulationLog` completed jobs are
         appended to (in completion order, as the paper's logger does).
-    columnar:
-        ``True`` (default) runs the struct-of-arrays hot path —
-        columnar event engine, field-tuple bookkeeping, column-buffer
-        log appends.  ``False`` runs the historical object-per-event
-        path (heap entries, eager dataclass records), kept as the
-        bit-identical reference the property tests and the fleet
-        benchmark's columnar speedup gate replay against.
     dynamics:
         Optional fleet-dynamics axis (duck-typed
         :class:`~repro.scenarios.dynamics.DynamicsSpec`): seeded
@@ -253,13 +244,11 @@ class SimulationCore:
         backend: PlacementBackend,
         discipline: QueueDiscipline,
         log: SimulationLog,
-        columnar: bool = True,
         dynamics: Optional[object] = None,
     ) -> None:
         self.backend = backend
         self.discipline = discipline
         self.log = log
-        self.columnar = columnar
         # Fleet dynamics: _dynamic goes True inside run() when the spec
         # actually carries events.  While dynamic, completions carry
         # (job_id, start_count) incarnation payloads so a completion of
@@ -272,29 +261,26 @@ class SimulationCore:
         self._casualty = "requeue"
         self._victim_policy = "youngest"
         self._max_request = 0
-        self.engine = EventEngine() if columnar else HeapEventEngine()
+        self.engine = EventEngine()
         # Pre-interned completion kind: the fused start path schedules
         # one completion per started job and skips re-interning the
         # string (and the no-op negative-delay check) each time.
-        self._completion_code = (
-            self.engine.intern_kind(_COMPLETION) if columnar else -1
-        )
+        self._completion_code = self.engine.intern_kind(_COMPLETION)
         self.queue: Deque[Job] = deque()
         self._estimates: Dict[Hashable, float] = {}
-        # Columnar mode: running jobs and completed placements are
-        # plain field tuples in _ROW order; PlacementRecord objects are
-        # materialised lazily through the `placements` property.
-        # Object mode: both hold PlacementRecord instances eagerly, as
-        # the pre-columnar core always did.
-        self._running: Dict[Hashable, object] = {}
-        self._placements: List[object] = []
+        # Running jobs and completed placements are plain field tuples
+        # in row order — (server_index, *JobRecord fields);
+        # PlacementRecord objects are materialised lazily through the
+        # `placements` property.
+        self._running: Dict[Hashable, Tuple] = {}
+        self._placements: List[Tuple] = []
         self._placements_cache: Optional[List[PlacementRecord]] = None
-        # Execution-time memo (columnar only): execution_time is a pure
-        # function of (catalogued workload, GPU count, measured BW) —
-        # workload_spec() is a registry lookup by name — and a steady-
-        # state fleet hands out the same few hundred placements over and
-        # over.  Cached floats are the exact floats the uncached call
-        # returns, so records stay bit-identical.
+        # Execution-time memo: execution_time is a pure function of
+        # (catalogued workload, GPU count, measured BW) — workload_spec()
+        # is a registry lookup by name — and a steady-state fleet hands
+        # out the same few hundred placements over and over.  Cached
+        # floats are the exact floats the uncached call returns, so
+        # records stay bit-identical.
         self._exec_cache: Dict[Tuple[str, int, float], float] = {}
         # Measured-bandwidth memo: the simulated NCCL microbenchmark is
         # a pure function of (wiring, GPU subset), and fleet replays
@@ -343,27 +329,16 @@ class SimulationCore:
                 "fleet dynamics requires the fifo discipline "
                 f"(got {type(self.discipline).__name__})"
             )
-        if self.columnar:
-            jobs = list(job_file)
-            times = []
-            for job in jobs:
-                request = self._request(job)
-                if not self.backend.can_ever_fit(request):
-                    raise ValueError(
-                        f"job {job.job_id} requests {job.num_gpus} GPUs; "
-                        "no server can ever host it"
-                    )
-                times.append(job.submit_time)
-            self.engine.schedule_many(times, _ARRIVAL, jobs)
-        else:
-            jobs = list(job_file)
-            for job in jobs:
-                if not self.backend.can_ever_fit(job.request()):
-                    raise ValueError(
-                        f"job {job.job_id} requests {job.num_gpus} GPUs; "
-                        "no server can ever host it"
-                    )
-                self.engine.schedule(job.submit_time, _ARRIVAL, job)
+        jobs = list(job_file)
+        times = []
+        for job in jobs:
+            if not self.backend.can_ever_fit(self._request(job)):
+                raise ValueError(
+                    f"job {job.job_id} requests {job.num_gpus} GPUs; "
+                    "no server can ever host it"
+                )
+            times.append(job.submit_time)
+        self.engine.schedule_many(times, _ARRIVAL, jobs)
         if self._dynamic:
             self._casualty = dynamics.casualty
             self._victim_policy = dynamics.victim
@@ -376,22 +351,13 @@ class SimulationCore:
                 for i in range(len(self.backend.free_gpu_counts()))
             ]
             events = dynamics.build(topologies)
-            if self.columnar:
-                self.engine.schedule_many(
-                    [e.time for e in events],
-                    _FLEET,
-                    events,
-                    priority=FLEET_PRIORITY,
-                )
-            else:
-                for event in events:
-                    self.engine.schedule(
-                        event.time, _FLEET, event, priority=FLEET_PRIORITY
-                    )
+            self.engine.schedule_many(
+                [e.time for e in events], _FLEET, events, priority=FLEET_PRIORITY
+            )
         queue = self.queue
         engine_pop = self.engine.pop
         complete = self._complete_dynamic if self._dynamic else self._complete
-        if self.columnar and type(self.discipline) is FifoDiscipline:
+        if type(self.discipline) is FifoDiscipline:
             # Inlined FIFO dispatch (exactly FifoDiscipline.schedule):
             # no per-event strategy call, and an arrival that joins a
             # non-empty queue skips scheduling outright — the head
@@ -464,11 +430,8 @@ class SimulationCore:
         self._release_epoch += 1
         entry = self._running.pop(job_id)
         self._placements.append(entry)
-        if self.columnar:
-            self._placements_cache = None
-            self.log.append_fields(*entry[1:])
-        else:
-            self.log.append(entry.record)
+        self._placements_cache = None
+        self.log.append_fields(*entry[1:])
 
     def _complete_dynamic(self, payload: Tuple[Hashable, int]) -> None:
         """Dynamic-fleet completion: skip stale incarnations.
@@ -551,15 +514,7 @@ class SimulationCore:
         """Evict one running job (victim policy) and requeue it (back)."""
         if not self._running:
             return
-        if self.columnar:
-            ranked = sorted(
-                (row[7], row[1]) for row in self._running.values()
-            )
-        else:
-            ranked = sorted(
-                (pr.record.start_time, pr.record.job_id)
-                for pr in self._running.values()
-            )
+        ranked = sorted((row[7], row[1]) for row in self._running.values())
         if self._victim_policy == "youngest":
             victim_id = ranked[-1][1]
         elif self._victim_policy == "oldest":
@@ -592,7 +547,7 @@ class SimulationCore:
         return self._release_epoch
 
     def _request(self, job: Job) -> AllocationRequest:
-        """The job's allocation request (memoized in columnar mode).
+        """The job's allocation request, memoized on the job.
 
         The request is pinned on the (frozen, shared) ``Job`` object
         itself: a pure derivative of immutable fields, so replays of
@@ -600,8 +555,6 @@ class SimulationCore:
         request and one pattern object per job instead of rebuilding
         the application graph every run.
         """
-        if not self.columnar:
-            return job.request()
         request = getattr(job, "_request_cache", None)
         if request is None:
             request = job.request()
@@ -701,63 +654,37 @@ class SimulationCore:
             )
         return stats
 
-    def commit(self, placed: PlacedJob) -> Optional[JobRecord]:
-        """Start a placed job: record it, schedule its completion.
+    def commit(self, placed: PlacedJob) -> None:
+        """Start a placed job: book its row, schedule its completion.
 
-        Object mode returns the job's eagerly built :class:`JobRecord`.
-        Columnar mode books the same fields as a plain tuple and
-        returns ``None`` — the record is materialised only if the log's
-        ``records`` (or this core's ``placements``) is read later.  No
-        caller in the repository consumes the return value; it exists
-        for external drivers, which see it once the run completes.
+        The row holds the :class:`JobRecord` fields as a plain tuple;
+        the record is materialised only if the log's ``records`` (or
+        this core's ``placements``) is read later.
         """
         job = placed.job
         now = self.engine.now
         scores = placed.placement.allocation.scores
         exec_time = placed.exec_time
-        if self.columnar:
-            # _ROW order: (server_index, *JobRecord fields) — _complete
-            # splats [1:] straight into SimulationLog.append_fields.
-            self._running[job.job_id] = (
-                placed.placement.server_index,
-                job.job_id,
-                job.workload,
-                job.num_gpus,
-                job.pattern,
-                job.bandwidth_sensitive,
-                job.submit_time,
-                now,
-                now + exec_time,
-                placed.placement.gpus,
-                scores.get("agg_bw", 0.0),
-                scores.get("effective_bw", 0.0),
-                placed.measured_bw,
-            )
-            self.engine.schedule_after(
-                exec_time, _COMPLETION, self._completion_payload(job)
-            )
-            return None
-        record = JobRecord(
-            job_id=job.job_id,
-            workload=job.workload,
-            num_gpus=job.num_gpus,
-            pattern=job.pattern,
-            bandwidth_sensitive=job.bandwidth_sensitive,
-            submit_time=job.submit_time,
-            start_time=now,
-            finish_time=now + exec_time,
-            allocation=placed.placement.gpus,
-            agg_bw=scores.get("agg_bw", 0.0),
-            predicted_effective_bw=scores.get("effective_bw", 0.0),
-            measured_effective_bw=placed.measured_bw,
-        )
-        self._running[job.job_id] = PlacementRecord(
-            record=record, server_index=placed.placement.server_index
+        # Row order: (server_index, *JobRecord fields) — _complete
+        # splats [1:] straight into SimulationLog.append_fields.
+        self._running[job.job_id] = (
+            placed.placement.server_index,
+            job.job_id,
+            job.workload,
+            job.num_gpus,
+            job.pattern,
+            job.bandwidth_sensitive,
+            job.submit_time,
+            now,
+            now + exec_time,
+            placed.placement.gpus,
+            scores.get("agg_bw", 0.0),
+            scores.get("effective_bw", 0.0),
+            placed.measured_bw,
         )
         self.engine.schedule_after(
             exec_time, _COMPLETION, self._completion_payload(job)
         )
-        return record
 
     def _completion_payload(self, job: Job) -> object:
         """Bare ``job_id`` statically; ``(job_id, start_count)`` while
@@ -783,20 +710,14 @@ class SimulationCore:
     def try_start(self, job: Job) -> bool:
         """Place and immediately start ``job`` (the common case).
 
-        Columnar mode fuses :meth:`place` and :meth:`commit` — same
-        arithmetic, same futile-epoch memoisation, but no intermediate
+        Fuses :meth:`place` and :meth:`commit` — same arithmetic, same
+        futile-epoch memoisation, but no intermediate
         :class:`PlacedJob` and an execution-time memo on top of the
         measured-bandwidth one (``execution_time`` is pure in the
         catalogued workload name, the GPU count and the measured BW).
         Disciplines that need to *hold* a placement before starting it
         (EASY's speculative reservations) still use place/commit/abort.
         """
-        if not self.columnar:
-            placed = self.place(job)
-            if placed is None:
-                return False
-            self.commit(placed)
-            return True
         job_id = job.job_id
         if self._futile.get(job_id) == self._release_epoch:
             return False
@@ -907,14 +828,7 @@ class SimulationCore:
                 due += 1
             timeline[:due] = [e for e in timeline[:due] if e[3] in running]
             rows = islice(reversed(running.values()), len(running) - len(timeline))
-        if self.columnar:
-            entries = [(row[8], row[0], row[3], row[1]) for row in rows]
-        else:
-            entries = [
-                (pr.record.finish_time, pr.server_index, pr.record.num_gpus,
-                 pr.record.job_id)
-                for pr in rows
-            ]
+        entries = [(row[8], row[0], row[3], row[1]) for row in rows]
         if rebuild:
             timeline.extend(entries)
             timeline.sort()
@@ -929,12 +843,9 @@ class SimulationCore:
     def placements(self) -> List[PlacementRecord]:
         """Completed jobs with their hosting server, in completion order.
 
-        Columnar mode materialises the :class:`PlacementRecord` objects
-        lazily from the booked field tuples (cached until the next
-        completion); object mode returns the eagerly built list.
+        The :class:`PlacementRecord` objects are materialised lazily
+        from the booked rows (cached until the next completion).
         """
-        if not self.columnar:
-            return self._placements
         if self._placements_cache is None:
             self._placements_cache = [
                 PlacementRecord(
@@ -949,10 +860,6 @@ class SimulationCore:
         counts: Dict[int, int] = {
             i: 0 for i in range(len(self.backend.free_gpu_counts()))
         }
-        if self.columnar:
-            for row in self._placements:
-                counts[row[0]] += 1
-        else:
-            for pr in self._placements:
-                counts[pr.server_index] += 1
+        for row in self._placements:
+            counts[row[0]] += 1
         return counts

@@ -5,47 +5,26 @@ stable FIFO tie-breaking.  The cluster simulator drives it with
 job-arrival and job-completion events; the engine knows nothing about
 GPUs.
 
-Two implementations share one contract:
-
-* :class:`EventEngine` — the production **columnar** engine.  Events
-  live in parallel numpy arrays (time / insertion sequence / interned
-  kind code / payload handle) instead of per-event heap objects: a
-  sorted *run* absorbs bulk schedules (a sorted array is already a
-  valid min-heap, so replay arrival streams cost one vectorised sort),
-  and a small C ``heapq`` of bare scalar tuples absorbs the dynamic
-  events a simulation schedules mid-run (completions) — no dataclass
-  per event, and tuple comparison never reaches the payload because
-  sequences are unique.  ``pop`` merges the two heads on the same
-  ``(time, priority, seq)`` order the heap engine uses, so event order
-  — and therefore every golden table — is bit-identical.
-* :class:`HeapEventEngine` — the original ``heapq``-of-dataclasses
-  engine, kept as the object-path reference oracle the property tests
-  and the fleet benchmark's columnar gate compare against.
-
-Both preallocate nothing the caller can observe: the API (``schedule``
-/ ``schedule_after`` / ``pop`` / ``peek_time`` / ``pending`` /
-``tolerance``) and the relative past-time tolerance band are identical.
+:class:`EventEngine` is a **columnar** engine.  Events live in
+parallel numpy arrays (time / insertion sequence / interned kind code
+/ payload handle) instead of per-event heap objects: a sorted *run*
+absorbs bulk schedules (a sorted array is already a valid min-heap, so
+replay arrival streams cost one vectorised sort), and a small C
+``heapq`` of bare scalar tuples absorbs the dynamic events a
+simulation schedules mid-run (completions) — no object per event, and
+tuple comparison never reaches the payload because sequences are
+unique.  ``pop`` merges the two heads on one ``(time, priority, seq)``
+total order.  A plain ``heapq``-of-entries engine with the same API
+lives in ``tests/reference/replay.py`` as the oracle the property tests
+pop against.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-
-
-@dataclass(order=True)
-class _Entry:
-    """One scheduled event; orders by (time, priority, insertion seq)."""
-
-    time: float
-    priority: int
-    seq: int
-    kind: str = field(compare=False)
-    payload: Any = field(compare=False)
 
 
 #: Default event priority.  Same-timestamp ties break on ``(time,
@@ -87,8 +66,8 @@ class EventEngine:
     parallel preallocated arrays consumed by a cursor; singleton
     schedules land in a C ``heapq`` of bare ``(time, priority, seq,
     kind, handle)`` tuples; :meth:`pop` takes whichever head is smaller
-    under ``(time, priority, seq)`` — the exact total order of the
-    reference :class:`HeapEventEngine` (sequences are unique, so the
+    under ``(time, priority, seq)`` — the total order of a plain heap
+    of ``(time, priority, seq)`` entries (sequences are unique, so the
     comparison never reaches payloads).
     """
 
@@ -335,98 +314,3 @@ class EventEngine:
         if self._heap:
             return float(self._heap[0][0])
         return None
-
-
-class HeapEventEngine:
-    """The original object-path engine: a ``heapq`` of `_Entry` objects.
-
-    Bit-identical in behaviour to :class:`EventEngine` (the property
-    tests drive random traces through both and compare pop streams);
-    kept as the reference oracle and as the legacy core's engine so the
-    fleet benchmark can measure the columnar speedup in-run.
-    """
-
-    def __init__(self) -> None:
-        self._heap: List[_Entry] = []
-        self._counter = itertools.count()
-        self.now = 0.0
-
-    def tolerance(self, time: float) -> float:
-        """Past/future tolerance band at ``time``: symmetric and relative."""
-        return _REL_EPS * max(1.0, abs(time), abs(self.now))
-
-    def schedule(
-        self,
-        time: float,
-        kind: str,
-        payload: Any = None,
-        priority: int = DEFAULT_PRIORITY,
-    ) -> None:
-        """Enqueue an event at absolute ``time`` (must not be in the past).
-
-        Times within the symmetric tolerance band *before* ``now`` —
-        round-off, not logic errors — are clamped to ``now`` so the
-        clock stays monotone; anything earlier raises.  ``priority``
-        breaks same-timestamp ties before the insertion sequence does
-        (lower pops first); job events keep the default.
-        """
-        if time < self.now:
-            if time < self.now - self.tolerance(time):
-                raise ValueError(
-                    f"cannot schedule event at {time} before current time "
-                    f"{self.now}"
-                )
-            time = self.now
-        heapq.heappush(
-            self._heap,
-            _Entry(time, priority, next(self._counter), kind, payload),
-        )
-
-    def schedule_after(
-        self,
-        delay: float,
-        kind: str,
-        payload: Any = None,
-        priority: int = DEFAULT_PRIORITY,
-    ) -> None:
-        """Enqueue an event ``delay`` seconds from now."""
-        if delay < 0:
-            raise ValueError("negative delay")
-        self.schedule(self.now + delay, kind, payload, priority)
-
-    def schedule_many(
-        self,
-        times: Sequence[float],
-        kind: str,
-        payloads: Optional[Sequence[Any]] = None,
-        priority: int = DEFAULT_PRIORITY,
-    ) -> None:
-        """Bulk schedule, one heap push per event (API parity)."""
-        if payloads is not None and len(payloads) != len(times):
-            raise ValueError(
-                f"{len(payloads)} payloads for {len(times)} scheduled times"
-            )
-        for i, time in enumerate(times):
-            self.schedule(
-                float(time),
-                kind,
-                None if payloads is None else payloads[i],
-                priority,
-            )
-
-    @property
-    def pending(self) -> int:
-        """Events not yet popped."""
-        return len(self._heap)
-
-    def pop(self) -> Optional[Tuple[float, str, Any]]:
-        """Advance time to the next event and return it, or ``None``."""
-        if not self._heap:
-            return None
-        entry = heapq.heappop(self._heap)
-        self.now = entry.time
-        return entry.time, entry.kind, entry.payload
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next event without popping it (``None`` if empty)."""
-        return self._heap[0].time if self._heap else None

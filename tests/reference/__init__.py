@@ -1,6 +1,7 @@
 """Reference implementations the differential tests compare against.
 
-Each module keeps an earlier, straightforward version of a component
-whose ``src/`` implementation now skips work; the tests require both to
-produce byte-identical output.
+Each module keeps a straightforward version of a component whose
+``src/`` implementation skips work: ``easy_backfill`` the exhaustive
+EASY body, ``replay`` the whole replay loop without memos or fast
+paths.  The tests require both to produce byte-identical output.
 """

@@ -66,15 +66,9 @@ def reference_earliest_fit_time(core: "SimulationCore", num_gpus: int) -> float:
     capacities = [
         core.backend.hardware_for(i).num_gpus for i in range(len(frees))
     ]
-    if core.columnar:
-        completions = sorted(
-            (row[8], row[0], row[3]) for row in core._running.values()
-        )
-    else:
-        completions = sorted(
-            (pr.record.finish_time, pr.server_index, pr.record.num_gpus)
-            for pr in core._running.values()
-        )
+    completions = sorted(
+        (row[8], row[0], row[3]) for row in core._running.values()
+    )
     for finish_time, server, freed in completions:
         frees[server] += freed
         if capacities[server] >= num_gpus and frees[server] >= num_gpus:

@@ -8,9 +8,11 @@ the jobs rejected on their exact execution time.  Each skip is claimed
 to be exact, so a replay must be byte-identical to the reference body in
 ``tests/reference/easy_backfill.py``, which places every queued job and
 commits or aborts.  The cases cover both backends, every node policy,
-both core modes, the one non-monotone case, and a discipline instance
-reused across runs; a last check holds the core's kept completion
-timeline to a from-scratch shadow time under fleet dynamics.
+the production core and the memo-free reference core
+(``tests/reference/replay.py``), the one non-monotone case, and a
+discipline instance reused across runs; a last check holds the core's
+kept completion timeline to a from-scratch shadow time under fleet
+dynamics.
 """
 
 import json
@@ -18,6 +20,7 @@ import json
 import pytest
 
 from reference.easy_backfill import ReferenceEasyBackfill, reference_earliest_fit_time
+from reference.replay import ReferenceCore, ReferenceMapa, canonical, reference_core
 from repro.allocator.mapa import Mapa
 from repro.cluster import MultiServerSimulator
 from repro.policies.registry import make_policy
@@ -41,32 +44,31 @@ from repro.workloads.generator import generate_job_file
 from repro.workloads.jobs import Job, JobFile
 
 
-def _single_server(topology, trace, discipline, columnar, cache):
+def _single_server(topology, trace, discipline, production_core, cache):
     hardware = by_name(topology)
-    backend = SingleServerBackend(Mapa(hardware, make_policy("preserve", cache=cache)))
-    core = SimulationCore(
-        backend, discipline, SimulationLog("preserve", topology), columnar=columnar
-    )
-    return _dump(core.run(trace))
+    log = SimulationLog("preserve", topology)
+    if production_core:
+        mapa = Mapa(hardware, make_policy("preserve", cache=cache))
+        core = SimulationCore(SingleServerBackend(mapa), discipline, log)
+    else:
+        mapa = ReferenceMapa(hardware, make_policy("preserve"))
+        core = ReferenceCore(SingleServerBackend(mapa), discipline, log)
+    return canonical(core.run(trace))
 
 
 def _fleet(servers, trace, discipline, cache, node_policy="first-fit",
-           columnar=True, gpu_policy="preserve"):
-    sim = MultiServerSimulator(
-        servers,
-        gpu_policy=gpu_policy,
-        node_policy=node_policy,
-        scheduling="easy-backfill",
-        scan_cache=cache,
-        core="columnar" if columnar else "object",
-    )
-    sim.core.discipline = discipline
-    return _dump(sim.run(trace))
-
-
-def _dump(log):
-    """The log's canonical serialisation: equal strings, equal bytes."""
-    return json.dumps(log.to_dict(), sort_keys=True)
+           production_core=True, gpu_policy="preserve"):
+    if production_core:
+        core = MultiServerSimulator(
+            servers,
+            gpu_policy=gpu_policy,
+            node_policy=node_policy,
+            scan_cache=cache,
+        ).core
+    else:
+        core = reference_core(servers, gpu_policy=gpu_policy, node_policy=node_policy)
+    core.discipline = discipline
+    return canonical(core.run(trace))
 
 
 def _fleet_trace(fleet, num_jobs, seed, rate):
@@ -80,31 +82,31 @@ def _fleet_trace(fleet, num_jobs, seed, rate):
 
 
 @pytest.mark.parametrize(
-    "topology,columnar,seed,max_gpus",
+    "topology,production_core,seed,max_gpus",
     [
         ("dgx1-v100", True, 3, 5),
         ("dgx1-v100", False, 4, 5),
         ("dgx2", True, 5, 4),
     ],
 )
-def test_single_server_matches_reference(topology, columnar, seed, max_gpus):
+def test_single_server_matches_reference(topology, production_core, seed, max_gpus):
     trace = generate_job_file(40, max_gpus=max_gpus, seed=seed, arrival_rate=0.05)
     cache = ScanCache()
-    fast = _single_server(topology, trace, EasyBackfillDiscipline(), columnar, cache)
-    ref = _single_server(topology, trace, ReferenceEasyBackfill(), columnar, cache)
+    fast = _single_server(topology, trace, EasyBackfillDiscipline(), production_core, cache)
+    ref = _single_server(topology, trace, ReferenceEasyBackfill(), production_core, cache)
     assert fast == ref
 
 
-@pytest.mark.parametrize("columnar", [True, False])
+@pytest.mark.parametrize("production_core", [True, False])
 @pytest.mark.parametrize("node_policy", ["first-fit", "pack", "spread", "best-score"])
-def test_four_server_fleet_matches_reference(node_policy, columnar):
+def test_four_server_fleet_matches_reference(node_policy, production_core):
     fleet = mixed_fleet(4)
     trace = _fleet_trace(fleet, 60, seed=11, rate=0.3)
     cache = ScanCache()
     fast = _fleet(fleet.build(), trace, EasyBackfillDiscipline(), cache,
-                  node_policy, columnar)
+                  node_policy, production_core)
     ref = _fleet(fleet.build(), trace, ReferenceEasyBackfill(), cache,
-                 node_policy, columnar)
+                 node_policy, production_core)
     assert fast == ref
 
 
@@ -137,12 +139,12 @@ NON_MONOTONE_TRACE = JobFile(
 )
 
 
-@pytest.mark.parametrize("columnar", [True, False])
-def test_rejected_job_rerouted_by_an_arrival_pass(columnar):
+@pytest.mark.parametrize("production_core", [True, False])
+def test_rejected_job_rerouted_by_an_arrival_pass(production_core):
     servers = [by_name("dgx1-v100")] * 2
     logs = [
         _fleet(servers, NON_MONOTONE_TRACE, discipline, ScanCache(),
-               columnar=columnar, gpu_policy="baseline")
+               production_core=production_core, gpu_policy="baseline")
         for discipline in (EasyBackfillDiscipline(), ReferenceEasyBackfill())
     ]
     assert logs[0] == logs[1]
@@ -167,33 +169,42 @@ def test_discipline_instance_reused_across_runs():
 
 
 class _ShadowProbe(FifoDiscipline):
-    """FIFO (so fleet dynamics are allowed) that checks shadow times."""
+    """FIFO (so fleet dynamics are allowed) that checks shadow times
+    against a fresh sort and records them."""
 
     def __init__(self):
-        self.checked = 0
+        self.shadows = []
 
     def schedule(self, core):
         for num_gpus in (1, 4, 8, 16):
-            expected = reference_earliest_fit_time(core, num_gpus)
-            assert core.earliest_fit_time(num_gpus) == expected
-            self.checked += 1
+            shadow = core.earliest_fit_time(num_gpus)
+            assert shadow == reference_earliest_fit_time(core, num_gpus)
+            self.shadows.append((core.now, num_gpus, shadow))
         super().schedule(core)
 
 
-@pytest.mark.parametrize("columnar", [True, False])
-def test_shadow_time_exact_under_fleet_dynamics(columnar):
+def _shadow_series(core, trace):
+    probe = core.discipline = _ShadowProbe()
+    core.run(trace)
+    assert probe.shadows
+    return probe.shadows
+
+
+@pytest.mark.parametrize("production_core", [True, False])
+def test_shadow_time_exact_under_fleet_dynamics(production_core):
     """Failures and preemptions end jobs before their finish time; the
-    core's kept completion timeline must still match a fresh sort."""
+    core's kept completion timeline must still match a fresh sort.  On
+    the reference core the shadow time *is* the fresh sort, so there
+    the whole series must equal the production core's."""
     fleet = mixed_fleet(4)
     trace = _fleet_trace(fleet, 80, seed=5, rate=0.5)
     dynamics = DynamicsSpec(
         seed=3, horizon=300.0, failures=3, mean_downtime=40.0,
         grows=1, preemptions=6,
     )
-    sim = MultiServerSimulator(
-        fleet.build(), core="columnar" if columnar else "object",
-        dynamics=dynamics,
+    series = _shadow_series(
+        MultiServerSimulator(fleet.build(), dynamics=dynamics).core, trace
     )
-    probe = sim.core.discipline = _ShadowProbe()
-    sim.run(trace)
-    assert probe.checked > 0
+    if not production_core:
+        reference = reference_core(fleet.build(), dynamics=dynamics)
+        assert _shadow_series(reference, trace) == series

@@ -8,8 +8,8 @@ Four invariants pin the chaos axis:
   failures, repairs, drains and autoscale growth;
 * a chaos replay is bit-identical across the ``cached`` / ``batch`` /
   ``scalar`` scan engines;
-* the columnar and object simulation cores produce identical logs
-  under chaos;
+* the simulation core produces the same log as the memo-free
+  reference replay (``tests/reference/replay.py``) under chaos;
 * a sharded chaos replay (random shard count) is byte-identical to the
   single-scheduler reference, and the mirrors survive ``check_mirror``
   afterwards.
@@ -24,6 +24,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference.replay import assert_identical_replay
 from repro.cluster import (
     MultiServerScheduler,
     ShardedFleetScheduler,
@@ -174,20 +175,11 @@ class TestEngineIdentityUnderChaos:
 class TestCoreIdentityUnderChaos:
     @given(data=st.data())
     @settings(max_examples=8, deadline=None)
-    def test_columnar_equals_object(self, data):
+    def test_columnar_equals_reference(self, data):
         fleet = data.draw(_fleet())
         trace = data.draw(_scenario(fleet))
         dynamics = data.draw(_dynamics())
-        servers = fleet.build()
-        columnar = run_cluster(
-            servers, trace, core="columnar", dynamics=dynamics
-        ).log
-        objectal = run_cluster(
-            servers, trace, core="object", dynamics=dynamics
-        ).log
-        assert columnar.to_dict() == objectal.to_dict(), (
-            f"cores diverged under {dynamics.describe()}"
-        )
+        assert_identical_replay(fleet.build(), trace, dynamics=dynamics)
 
 
 class TestShardedIdentityUnderChaos:

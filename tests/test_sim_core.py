@@ -222,21 +222,24 @@ class TestBackendProtocol:
 
 
 class TestDeprecationAndHygiene:
-    def test_cluster_simulator_alias_warns(self):
-        from repro.cluster import ClusterSimulator as OldName
+    def test_reference_core_knobs_are_gone(self, dgx):
+        """One replay core: its reference lives in tests/reference/."""
+        from repro.allocator.mapa import Mapa
+        from repro.cluster.scheduler import MultiServerScheduler
 
-        with pytest.warns(DeprecationWarning, match="MultiServerSimulator"):
-            sim = OldName([dgx1_v100()])
-        assert isinstance(sim, MultiServerSimulator)
-
-    def test_isinstance_against_deprecated_name_still_works(self):
-        """run_cluster returns the new class, but old isinstance checks
-        against the deprecated name must keep passing."""
-        from repro.cluster import ClusterSimulator as OldName
-
-        trace = generate_job_file(5, seed=1, max_gpus=4)
-        sim = run_cluster([dgx1_v100()], trace)
-        assert isinstance(sim, OldName)
+        with pytest.raises(TypeError):
+            run_cluster([dgx], JobFile([]), core="object")
+        with pytest.raises(TypeError):
+            SimulationCore(
+                SingleServerBackend(Mapa(dgx, make_policy("baseline"))),
+                make_discipline("fifo"),
+                None,
+                columnar=False,
+            )
+        with pytest.raises(TypeError):
+            Mapa(dgx, make_policy("baseline"), annotate_memo="combined")
+        with pytest.raises(TypeError):
+            MultiServerScheduler([dgx], fast_paths=False)
 
     def test_allocation_scores_frozen(self):
         alloc = Allocation(gpus=(1, 2), scores={"agg_bw": 50.0})

@@ -127,7 +127,8 @@ class TestPastTimeTolerance:
 
 
 class TestPriorityOrdering:
-    """Regression: event order is ``(time, priority, seq)`` on both engines.
+    """Regression: event order is ``(time, priority, seq)`` on the engine
+    and on its reference heap engine (``tests/reference/replay.py``).
 
     Fleet-dynamics events carry :data:`~repro.sim.engine.FLEET_PRIORITY`
     (0) so a mutation at time ``t`` always pops before job events at the
@@ -139,7 +140,7 @@ class TestPriorityOrdering:
     """
 
     def _engines(self):
-        from repro.sim.engine import EventEngine, HeapEventEngine
+        from reference.replay import HeapEventEngine
 
         return [EventEngine(), HeapEventEngine()]
 
