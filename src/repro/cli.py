@@ -1200,8 +1200,8 @@ def build_parser() -> argparse.ArgumentParser:
             "'seed=7,horizon=600,failures=3,grows=1,shrinks=1,"
             "preemptions=5,casualty=requeue,victim=youngest' — server "
             "failure/repair, autoscale and preemption events injected "
-            "into the replay (FIFO only; hashes into sweep cells like "
-            "any other scenario axis)"
+            "into the replay under any --scheduling discipline (hashes "
+            "into sweep cells like any other scenario axis)"
         ),
     )
     p_scen.set_defaults(func=_cmd_scenario)

@@ -532,8 +532,9 @@ class MultiServerScheduler:
         """Largest per-server free-GPU count, O(1) off the index.
 
         The optional :class:`~repro.sim.core.PlacementBackend` hook the
-        inlined FIFO loop uses to reject doomed head retries on a
-        saturated fleet without touching the placement path.
+        built-in disciplines use to reject doomed attempts on a
+        saturated fleet without touching the placement path.  Failed
+        and drained servers do not count.
         """
         return self._index.max_free
 

@@ -129,7 +129,8 @@ def run_cluster(
     ``sim.scheduler.spill_scan_cache()`` writes it back.  ``dynamics``
     optionally injects a seeded fleet-chaos axis
     (:class:`repro.scenarios.dynamics.DynamicsSpec`): failures,
-    autoscale and preemption as first-class events (FIFO only).
+    autoscale and preemption as first-class events, under any
+    ``scheduling`` discipline.
     """
     sim = MultiServerSimulator(
         servers,

@@ -63,13 +63,9 @@ from ..policies.base import Allocation, AllocationRequest
 from ..topology.hardware import HardwareGraph
 from ..workloads.exectime import execution_time
 from ..workloads.jobs import Job, JobFile
-from .disciplines import FifoDiscipline, QueueDiscipline
+from .disciplines import ARRIVAL, COMPLETION, FLEET, QueueDiscipline
 from .engine import FLEET_PRIORITY, EventEngine
 from .records import JobRecord, SimulationLog
-
-_ARRIVAL = "arrival"
-_COMPLETION = "completion"
-_FLEET = "fleet"
 
 
 class Placement(Protocol):
@@ -176,10 +172,10 @@ class SingleServerBackend:
     def max_free_count(self) -> int:
         """Largest per-server free-GPU count (optional backend hook).
 
-        The inlined FIFO loop uses it as an O(1) infeasibility bound:
-        a head job requesting more GPUs than any server has free cannot
-        be placed, so its post-completion retry is skipped without
-        entering the placement path at all.
+        The built-in disciplines use it as an O(1) infeasibility bound:
+        a job requesting more GPUs than any server has free cannot be
+        placed, so its attempt is skipped without entering the
+        placement path at all.
         """
         return self.mapa.state.num_free
 
@@ -225,7 +221,8 @@ class SimulationCore:
         Placement backend (single server or multi-server fleet).
     discipline:
         Queue discipline deciding which queued jobs start after each
-        arrival / completion event.
+        arrival, completion or fleet event (the event kind is
+        :attr:`cause` during the call).
     log:
         The :class:`~repro.sim.records.SimulationLog` completed jobs are
         appended to (in completion order, as the paper's logger does).
@@ -234,9 +231,9 @@ class SimulationCore:
         :class:`~repro.scenarios.dynamics.DynamicsSpec`): seeded
         failure/repair, autoscale and preemption events injected into
         the run at :data:`~repro.sim.engine.FLEET_PRIORITY` (mutations
-        beat same-timestamp job events deterministically).  Requires
-        the FIFO discipline.  ``None`` or an empty spec leaves every
-        static-fleet path — and its event stream — untouched.
+        beat same-timestamp job events deterministically), under any
+        discipline.  ``None`` or an empty spec leaves every static-fleet
+        path — and its event stream — untouched.
     """
 
     def __init__(
@@ -262,10 +259,13 @@ class SimulationCore:
         self._victim_policy = "youngest"
         self._max_request = 0
         self.engine = EventEngine()
-        # Pre-interned completion kind: the fused start path schedules
-        # one completion per started job and skips re-interning the
-        # string (and the no-op negative-delay check) each time.
-        self._completion_code = self.engine.intern_kind(_COMPLETION)
+        # Pre-interned completion kind: every start schedules one
+        # completion and skips re-interning the string (and the no-op
+        # negative-delay check) each time.
+        self._completion_code = self.engine.intern_kind(COMPLETION)
+        #: Kind of the event the discipline is being called after
+        #: (ARRIVAL, COMPLETION or FLEET); None outside run().
+        self.cause: Optional[str] = None
         self.queue: Deque[Job] = deque()
         self._estimates: Dict[Hashable, float] = {}
         # Running jobs and completed placements are plain field tuples
@@ -302,14 +302,16 @@ class SimulationCore:
         # by (finish, server, GPUs), synced on demand and cached on
         # (release epoch, number running) — within one epoch _running
         # only grows (commits), so the pair names its contents.  A None
-        # key forces a rebuild.  Per-server capacities are cached per
-        # fleet size.
+        # key forces a rebuild.  Per-server capacities (0 for a server
+        # that is not up) are cached until the fleet changes.
         self._timeline_key: Optional[Tuple[int, int]] = None
         self._timeline: List[Tuple[float, int, int, Hashable]] = []
         self._capacities: Tuple[int, ...] = ()
+        self._all_up = True
         #: Scratch a queue discipline keeps between its passes over this
-        #: core (EASY's last-pass summary); owned by the run, so a
-        #: discipline instance reused for another run starts clean.
+        #: core (EASY's last-pass summary, FIFO's max-free probe); owned
+        #: by the run, so a discipline instance reused for another run
+        #: starts clean.
         self.discipline_state: Optional[object] = None
         # Scan-cache counter snapshot taken when run() starts, so the
         # log reports *this run's* lookups/hits even when the caller
@@ -324,11 +326,6 @@ class SimulationCore:
         self._scan_baseline = self._scan_counters()
         dynamics = self._dynamics
         self._dynamic = dynamics is not None and not dynamics.is_empty()
-        if self._dynamic and not isinstance(self.discipline, FifoDiscipline):
-            raise ValueError(
-                "fleet dynamics requires the fifo discipline "
-                f"(got {type(self.discipline).__name__})"
-            )
         jobs = list(job_file)
         times = []
         for job in jobs:
@@ -338,7 +335,7 @@ class SimulationCore:
                     "no server can ever host it"
                 )
             times.append(job.submit_time)
-        self.engine.schedule_many(times, _ARRIVAL, jobs)
+        self.engine.schedule_many(times, ARRIVAL, jobs)
         if self._dynamic:
             self._casualty = dynamics.casualty
             self._victim_policy = dynamics.victim
@@ -352,73 +349,27 @@ class SimulationCore:
             ]
             events = dynamics.build(topologies)
             self.engine.schedule_many(
-                [e.time for e in events], _FLEET, events, priority=FLEET_PRIORITY
+                [e.time for e in events], FLEET, events, priority=FLEET_PRIORITY
             )
-        queue = self.queue
         engine_pop = self.engine.pop
         complete = self._complete_dynamic if self._dynamic else self._complete
-        if type(self.discipline) is FifoDiscipline:
-            # Inlined FIFO dispatch (exactly FifoDiscipline.schedule):
-            # no per-event strategy call, and an arrival that joins a
-            # non-empty queue skips scheduling outright — the head
-            # already failed in the current release epoch (nothing has
-            # been released since, so its retry would be answered by
-            # the futile-epoch memo anyway) and FIFO starts no one
-            # behind a blocked head.
-            try_start = self.try_start
-            popleft = queue.popleft
-            # Optional backend hook: the largest per-server free count,
-            # O(1).  A head job asking for more GPUs than that cannot
-            # be placed anywhere, so the retry fired after every
-            # completion on a saturated fleet — almost always doomed —
-            # is answered by one integer compare instead of a full trip
-            # through the placement path.  Skipping try_start also
-            # skips its futile-epoch bookkeeping, which is sound: the
-            # memo only short-circuits placement attempts this guard
-            # rejects even earlier.
-            max_free_count = getattr(self.backend, "max_free_count", None)
-            while True:
-                event = engine_pop()
-                if event is None:
-                    break
-                _, kind, payload = event
-                if kind == _ARRIVAL:
-                    queue.append(payload)
-                    if len(queue) > 1:
-                        continue
-                elif kind == _COMPLETION:
-                    complete(payload)
-                elif kind == _FLEET:
-                    self._apply_fleet_event(payload)
-                else:  # pragma: no cover - defensive
-                    raise RuntimeError(f"unknown event kind {kind!r}")
-                if max_free_count is None:
-                    while queue and try_start(queue[0]):
-                        popleft()
-                else:
-                    while queue:
-                        head = queue[0]
-                        if head.num_gpus > max_free_count():
-                            break
-                        if not try_start(head):
-                            break
-                        popleft()
-        else:
-            while True:
-                event = engine_pop()
-                if event is None:
-                    break
-                _, kind, payload = event
-                if kind == _ARRIVAL:
-                    queue.append(payload)
-                elif kind == _COMPLETION:
-                    complete(payload)
-                elif kind == _FLEET:
-                    self._apply_fleet_event(payload)
-                else:  # pragma: no cover - defensive
-                    raise RuntimeError(f"unknown event kind {kind!r}")
-                self.discipline.schedule(self)
-                queue = self.queue  # disciplines may rebind the deque
+        schedule = self.discipline.schedule
+        while True:
+            event = engine_pop()
+            if event is None:
+                break
+            _, kind, payload = event
+            if kind == ARRIVAL:
+                self.queue.append(payload)  # disciplines may rebind the deque
+            elif kind == COMPLETION:
+                complete(payload)
+            elif kind == FLEET:
+                self._apply_fleet_event(payload)
+            else:  # pragma: no cover - defensive
+                raise RuntimeError(f"unknown event kind {kind!r}")
+            self.cause = kind
+            schedule(self)
+        self.cause = None
         if self.queue:  # pragma: no cover - defensive
             raise RuntimeError("simulation ended with jobs still queued")
         self.log.cache_stats = self.cache_stats()
@@ -468,6 +419,7 @@ class SimulationCore:
         """
         backend = self.backend
         action = event.action
+        self._capacities = ()  # a server may have gone down or come up
         if action == "fail":
             fail = getattr(backend, "fail_server", None)
             if fail is None or not self._retire_allowed(event.server):
@@ -541,8 +493,7 @@ class SimulationCore:
 
         Completions, preemptions, repairs and grows bump it; commits and
         aborts do not.  While it stands still the backend's free set
-        only shrinks, which is what the futile-retry memo and EASY's
-        arrival-only passes rely on.
+        only shrinks, which is what the futile-retry memo relies on.
         """
         return self._release_epoch
 
@@ -585,18 +536,35 @@ class SimulationCore:
             self._futile[job.job_id] = self._release_epoch
             return None
         self._futile.pop(job.job_id, None)
-        gpus = placement.gpus
-        workload = job.workload_spec()
-        if len(gpus) == 1:
-            measured = 0.0
-            exec_time = execution_time(workload, 1, float("inf"))
-        else:
-            hardware = self.backend.hardware_for(placement.server_index)
-            measured = self._measured_bw(hardware, gpus)
-            exec_time = execution_time(workload, len(gpus), measured)
+        measured, exec_time = self._runtime(job, placement)
         return PlacedJob(
             job=job, placement=placement, exec_time=exec_time, measured_bw=measured
         )
+
+    def _runtime(self, job: Job, placement: Placement) -> Tuple[float, float]:
+        """``(measured BW, exec_time)`` of ``job`` on ``placement``.
+
+        ``execution_time`` is pure in the catalogued workload name, the
+        GPU count and the measured bandwidth, so it is memoised on that
+        triple on top of the measured-bandwidth memo.  A hit returns the
+        float the uncached call returns.
+        """
+        gpus = placement.gpus
+        n = len(gpus)
+        if n == 1:
+            measured = 0.0
+        else:
+            measured = self._measured_bw(
+                self.backend.hardware_for(placement.server_index), gpus
+            )
+        key = (job.workload, n, measured)
+        exec_time = self._exec_cache.get(key)
+        if exec_time is None:
+            exec_time = execution_time(
+                job.workload_spec(), n, measured if n > 1 else float("inf")
+            )
+            self._exec_cache[key] = exec_time
+        return measured, exec_time
 
     def _measured_bw(
         self, hardware: HardwareGraph, gpus: Tuple[int, ...]
@@ -661,15 +629,20 @@ class SimulationCore:
         the record is materialised only if the log's ``records`` (or
         this core's ``placements``) is read later.
         """
-        job = placed.job
+        self._start(placed.job, placed.placement, placed.measured_bw, placed.exec_time)
+
+    def _start(
+        self, job: Job, placement: Placement, measured: float, exec_time: float
+    ) -> None:
+        """Book ``job``'s running row and schedule its completion."""
+        job_id = job.job_id
         now = self.engine.now
-        scores = placed.placement.allocation.scores
-        exec_time = placed.exec_time
+        scores = placement.allocation.scores
         # Row order: (server_index, *JobRecord fields) — _complete
         # splats [1:] straight into SimulationLog.append_fields.
-        self._running[job.job_id] = (
-            placed.placement.server_index,
-            job.job_id,
+        self._running[job_id] = (
+            placement.server_index,
+            job_id,
             job.workload,
             job.num_gpus,
             job.pattern,
@@ -677,20 +650,20 @@ class SimulationCore:
             job.submit_time,
             now,
             now + exec_time,
-            placed.placement.gpus,
+            placement.gpus,
             scores.get("agg_bw", 0.0),
             scores.get("effective_bw", 0.0),
-            placed.measured_bw,
+            measured,
         )
-        self.engine.schedule_after(
-            exec_time, _COMPLETION, self._completion_payload(job)
+        self.engine.schedule_after_coded(
+            exec_time,
+            self._completion_code,
+            self._incarnation(job) if self._dynamic else job_id,
         )
 
-    def _completion_payload(self, job: Job) -> object:
-        """Bare ``job_id`` statically; ``(job_id, start_count)`` while
-        fleet dynamics are active (see :meth:`_complete_dynamic`)."""
-        if not self._dynamic:
-            return job.job_id
+    def _incarnation(self, job: Job) -> Tuple[Hashable, int]:
+        """The ``(job_id, start_count)`` completion payload of a start
+        while fleet dynamics are active (see :meth:`_complete_dynamic`)."""
         count = self._starts.get(job.job_id, 0) + 1
         self._starts[job.job_id] = count
         self._job_objs[job.job_id] = job
@@ -710,13 +683,10 @@ class SimulationCore:
     def try_start(self, job: Job) -> bool:
         """Place and immediately start ``job`` (the common case).
 
-        Fuses :meth:`place` and :meth:`commit` — same arithmetic, same
-        futile-epoch memoisation, but no intermediate
-        :class:`PlacedJob` and an execution-time memo on top of the
-        measured-bandwidth one (``execution_time`` is pure in the
-        catalogued workload name, the GPU count and the measured BW).
+        Same arithmetic and memos as :meth:`place` followed by
+        :meth:`commit`, without the intermediate :class:`PlacedJob`.
         Disciplines that need to *hold* a placement before starting it
-        (EASY's speculative reservations) still use place/commit/abort.
+        (EASY's speculative reservations) use place/commit/abort.
         """
         job_id = job.job_id
         if self._futile.get(job_id) == self._release_epoch:
@@ -726,43 +696,8 @@ class SimulationCore:
             self._futile[job_id] = self._release_epoch
             return False
         self._futile.pop(job_id, None)
-        gpus = placement.gpus
-        n = len(gpus)
-        if n == 1:
-            measured = 0.0
-        else:
-            measured = self._measured_bw(
-                self.backend.hardware_for(placement.server_index), gpus
-            )
-        key = (job.workload, n, measured)
-        exec_time = self._exec_cache.get(key)
-        if exec_time is None:
-            exec_time = execution_time(
-                job.workload_spec(), n, measured if n > 1 else float("inf")
-            )
-            self._exec_cache[key] = exec_time
-        now = self.engine.now
-        scores = placement.allocation.scores
-        self._running[job_id] = (
-            placement.server_index,
-            job_id,
-            job.workload,
-            job.num_gpus,
-            job.pattern,
-            job.bandwidth_sensitive,
-            job.submit_time,
-            now,
-            now + exec_time,
-            gpus,
-            scores.get("agg_bw", 0.0),
-            scores.get("effective_bw", 0.0),
-            measured,
-        )
-        self.engine.schedule_after_coded(
-            exec_time,
-            self._completion_code,
-            self._completion_payload(job) if self._dynamic else job_id,
-        )
+        measured, exec_time = self._runtime(job, placement)
+        self._start(job, placement, measured, exec_time)
         return True
 
     def runtime_estimate(self, job: Job) -> float:
@@ -787,15 +722,26 @@ class SimulationCore:
 
         Counts GPUs only (a reservation cannot see intra-server
         fragmentation); exact completion times are known in simulation.
+        Only servers that are up count (per the backend's optional
+        ``server_status``): a failed or drained server takes no
+        placement, whatever it has free.
         """
-        frees = self.backend.free_gpu_counts()
-        if max(frees) >= num_gpus:
-            return self.engine.now
+        backend = self.backend
+        frees = backend.free_gpu_counts()
         capacities = self._capacities
         if len(capacities) != len(frees):
+            status = getattr(backend, "server_status", None)
             capacities = self._capacities = tuple(
-                self.backend.hardware_for(i).num_gpus for i in range(len(frees))
+                backend.hardware_for(i).num_gpus
+                if status is None or status(i) == "up"
+                else 0
+                for i in range(len(frees))
             )
+            self._all_up = 0 not in capacities
+        if not self._all_up:
+            frees = [free if cap else 0 for free, cap in zip(frees, capacities)]
+        if max(frees) >= num_gpus:
+            return self.engine.now
         frees = list(frees)
         for finish_time, server, freed, _ in self._completion_timeline():
             frees[server] += freed

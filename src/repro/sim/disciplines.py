@@ -3,11 +3,13 @@
 The paper evaluates under strict FIFO and notes MAPA "is agnostic to
 scheduling policies ... and can employ reordering" (section 4).  This
 module turns that observation into a strategy registry: a
-:class:`QueueDiscipline` decides, after every arrival and completion,
-which queued jobs to start, using the :class:`~repro.sim.core.SimulationCore`
-toolkit (``place``/``commit``/``abort``, runtime estimates, shadow
-times).  Disciplines are backend-agnostic — the same code schedules one
-DGX or a fleet of heterogeneous servers.
+:class:`QueueDiscipline` decides, after every arrival, completion and
+fleet mutation, which queued jobs to start, using the
+:class:`~repro.sim.core.SimulationCore` toolkit
+(``place``/``commit``/``abort``, runtime estimates, shadow times) and
+the cause of the call (``core.cause``).  Disciplines are
+backend-agnostic — the same code schedules one DGX or a fleet of
+heterogeneous servers, static or under fleet dynamics.
 
 Built-in disciplines
 --------------------
@@ -29,14 +31,15 @@ Built-in disciplines
     exact up to GPU counts (the shadow time ignores intra-server
     fragmentation, as real EASY schedulers do).
 
-The backfilling disciplines only attempt a placement whose outcome can
-change.  A job asking for more GPUs than the emptiest server has free
-cannot be placed, and once no server has a free GPU the rest of the
-queue is not walked at all; EASY additionally skips the jobs whose
-runtime lower bound already overruns the shadow time and, between
-releases, re-examines only the jobs whose outcome can have changed (see
-:class:`EasyBackfillDiscipline`).  Every skip is exact: the resulting
-schedule is byte-identical to attempting every job.
+Every discipline only attempts a placement whose outcome can change.
+A job asking for more GPUs than the emptiest server has free cannot be
+placed, and once no server has a free GPU the rest of the queue is not
+walked at all.  FIFO does nothing on an arrival behind a blocked head;
+EASY additionally skips the jobs whose runtime lower bound already
+overruns the shadow time and, on an arrival, re-examines only the jobs
+whose outcome can have changed (see :class:`EasyBackfillDiscipline`).
+Every skip is exact: the resulting schedule is byte-identical to
+attempting every job.
 
 Use :func:`register_discipline` to add custom disciplines; they become
 available to both simulators and the CLI by name.
@@ -57,6 +60,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Slack added to reservation comparisons so float round-off in event
 #: times never flips a backfill decision.
 _EPS = 1e-9
+
+#: The event kinds a discipline can be called after (``core.cause``).
+ARRIVAL = "arrival"
+COMPLETION = "completion"
+FLEET = "fleet"
 
 
 def _max_free_probe(backend: object) -> Callable[[], int]:
@@ -80,7 +88,18 @@ class QueueDiscipline(abc.ABC):
 
     @abc.abstractmethod
     def schedule(self, core: "SimulationCore") -> None:
-        """Start queued jobs on ``core`` according to this discipline."""
+        """Start queued jobs on ``core`` according to this discipline.
+
+        The core calls this after every event, with ``core.cause`` set
+        to the kind of event it just handled (``None`` outside a run):
+
+        * :data:`ARRIVAL` — one job joined the tail of the queue and
+          nothing else changed since the previous call;
+        * :data:`COMPLETION` — a job finished and released its GPUs;
+        * :data:`FLEET` — a failure, repair, drain, grow or preemption:
+          the free set may have grown or shrunk, and failure casualties
+          may have been requeued at the *front* of the queue.
+        """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         """Debug representation with the discipline name."""
@@ -88,15 +107,29 @@ class QueueDiscipline(abc.ABC):
 
 
 class FifoDiscipline(QueueDiscipline):
-    """Strict FIFO with head-of-line blocking (paper section 4)."""
+    """Strict FIFO with head-of-line blocking (paper section 4).
+
+    Two exact skips keep the call after every event cheap.  An arrival
+    joining a non-empty queue starts nothing: the head was tried after
+    the previous event and nothing has been released since.  A head
+    asking for more GPUs than any server has free is rejected by one
+    integer compare, without entering the placement path (or its
+    futile-retry memo, which would only reject it later).
+    """
 
     name = "fifo"
 
     def schedule(self, core: "SimulationCore") -> None:
         """Start jobs from the head until one fails to place."""
         queue = core.queue
+        if core.cause == ARRIVAL and len(queue) > 1:
+            return
+        max_free_count = core.discipline_state  # the run's probe
+        if max_free_count is None:
+            max_free_count = core.discipline_state = _max_free_probe(core.backend)
         while queue:
-            if not core.try_start(queue[0]):
+            head = queue[0]
+            if head.num_gpus > max_free_count() or not core.try_start(head):
                 return  # head-of-line blocking: wait for a completion
             queue.popleft()
 
@@ -161,13 +194,11 @@ class ShortestJobFirstDiscipline(QueueDiscipline):
 class _EasyPass:
     """What one EASY pass leaves for the next (``core.discipline_state``)."""
 
-    #: The queue as the pass left it, and its length then.
-    queue: Deque["Job"]
+    #: The length of the queue as the pass left it.
     length: int
-    #: The core's release epoch and the head's shadow time then.
-    epoch: int
+    #: The head's shadow time then.
     shadow: float
-    #: Jobs started since the last full pass.  Within an epoch only
+    #: Jobs started since the last full pass.  Between full passes only
     #: these commits change the free set.
     commits: int
     #: Jobs placed and then rejected on their exact ``exec_time``, in
@@ -195,19 +226,21 @@ class EasyBackfillDiscipline(QueueDiscipline):
       be aborted if it were placed: the estimate is a float lower bound
       on every placement's ``exec_time`` and float addition is
       monotone;
-    * a pass triggered only by arrivals — no release since the last
-      pass, queue grown only at its tail — re-examines only the new
-      tail jobs and the jobs the last pass rejected on their exact
-      ``exec_time``.  Between releases the free set only shrinks, so a
-      job that failed, was too large or had no free GPU to go to still
-      is, and the head still cannot start.  An estimate-skipped job
-      stays skipped while the shadow time does not grow (the pass
-      falls back to a full walk when it does).  A rejected job is the
-      one non-monotone case: a smaller free set can route it to a
-      different server with a shorter ``exec_time``.  So it is placed
-      again — unless no job has started since its rejection, in which
-      case the free set, hence its placement and ``exec_time``, are the
-      ones it was rejected on.
+    * a pass after an arrival (``core.cause == ARRIVAL``: the queue
+      grew at its tail, and nothing was released or requeued since the
+      last pass) re-examines only the new tail job and the jobs the
+      last pass rejected on their exact ``exec_time``.  Since that pass
+      the free set has only shrunk, so a job that failed, was too large
+      or had no free GPU to go to still is, and the head still cannot
+      start.  An estimate-skipped job stays skipped while the shadow
+      time does not grow (the pass falls back to a full walk when it
+      does).  A rejected job is the one non-monotone case: a smaller
+      free set can route it to a different server with a shorter
+      ``exec_time``.  So it is placed again — unless no job has started
+      since its rejection, in which case the free set, hence its
+      placement and ``exec_time``, are the ones it was rejected on.
+      Every other cause forces a full pass: a failure can requeue
+      casualties at the front of the queue without releasing anything.
 
     The skips rely on the same contract as the core's futile-retry memo:
     placement failure is monotone in the free set, placement is a pure
@@ -223,14 +256,8 @@ class EasyBackfillDiscipline(QueueDiscipline):
         queue = core.queue
         last = core.discipline_state
         core.discipline_state = None
-        epoch = core.release_epoch
         shadow = None
-        if (
-            isinstance(last, _EasyPass)
-            and last.queue is queue
-            and last.epoch == epoch
-            and len(queue) >= last.length
-        ):
+        if core.cause == ARRIVAL and isinstance(last, _EasyPass):
             shadow = core.earliest_fit_time(queue[0].num_gpus)
             if shadow <= last.shadow:
                 commits = last.commits
@@ -263,7 +290,7 @@ class EasyBackfillDiscipline(QueueDiscipline):
             gone = set(map(id, started))
             queue = core.queue = deque(job for job in queue if id(job) not in gone)
         core.discipline_state = _EasyPass(
-            queue, len(queue), epoch, shadow, commits + len(started), retry
+            len(queue), shadow, commits + len(started), retry
         )
 
     @staticmethod

@@ -58,13 +58,18 @@ def reference_earliest_fit_time(core: "SimulationCore", num_gpus: int) -> float:
     """``SimulationCore.earliest_fit_time`` computed from scratch.
 
     Sorts the running jobs' completions on every call, as the core did
-    before it kept the timeline between calls.
+    before it kept the timeline between calls, and reads every server's
+    status afresh: a server that is not up hosts nothing new.
     """
-    frees = list(core.backend.free_gpu_counts())
-    if any(f >= num_gpus for f in frees):
+    backend = core.backend
+    frees = list(backend.free_gpu_counts())
+    status = getattr(backend, "server_status", lambda server: "up")
+    up = [status(i) == "up" for i in range(len(frees))]
+    if any(u and f >= num_gpus for u, f in zip(up, frees)):
         return core.engine.now
     capacities = [
-        core.backend.hardware_for(i).num_gpus for i in range(len(frees))
+        backend.hardware_for(i).num_gpus if up[i] else 0
+        for i in range(len(frees))
     ]
     completions = sorted(
         (row[8], row[0], row[3]) for row in core._running.values()

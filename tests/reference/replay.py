@@ -2,15 +2,17 @@
 
 The production replay stack (:class:`repro.sim.core.SimulationCore` on
 a :class:`repro.cluster.scheduler.MultiServerScheduler`) earns its speed
-from memos and fast paths: a columnar event engine, an inlined FIFO
-loop with a max-free guard, a futile-retry memo, measured-bandwidth and
-execution-time memos, a first-fit fast path with a decision memo, and
-component-wise annotation memos.  Each is claimed to be exact.  This
-module rebuilds the same replay without any of them:
+from memos and fast paths: a columnar event engine, FIFO and EASY
+skips keyed on the cause of each scheduling call, a max-free guard, a
+futile-retry memo, measured-bandwidth and execution-time memos, a
+first-fit fast path with a decision memo, and component-wise
+annotation memos.  Each is claimed to be exact.  This module rebuilds
+the same replay without any of them:
 
 * :class:`HeapEventEngine` — a ``heapq`` of event objects;
-* :class:`PlaceCommitFifo` — FIFO through ``place`` + ``commit``, so
-  the core runs its generic per-event loop, not the inlined one;
+* :class:`PlaceCommitFifo` — FIFO through ``place`` + ``commit`` after
+  every event, with no skip; EASY runs the exhaustive
+  :class:`~reference.easy_backfill.ReferenceEasyBackfill` body;
 * :class:`ReferenceMapa` — scores every committed allocation from
   scratch;
 * :class:`ReferenceScheduler` — places by the plain candidate walk;
@@ -30,7 +32,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple
 
-from reference.easy_backfill import reference_earliest_fit_time
+from reference.easy_backfill import ReferenceEasyBackfill, reference_earliest_fit_time
 from repro.allocator.mapa import Mapa
 from repro.cluster import run_cluster
 from repro.cluster.scheduler import ClusterPlacement, MultiServerScheduler
@@ -41,7 +43,7 @@ from repro.scoring.census import census_of_allocation
 from repro.scoring.effective import EffectiveBandwidthModel, PAPER_MODEL
 from repro.scoring.preserved import preserved_bandwidth
 from repro.sim.core import PlacedJob, SimulationCore
-from repro.sim.disciplines import FifoDiscipline, make_discipline
+from repro.sim.disciplines import COMPLETION, QueueDiscipline, make_discipline
 from repro.sim.engine import _REL_EPS, DEFAULT_PRIORITY
 from repro.sim.records import SimulationLog
 from repro.topology.hardware import HardwareGraph
@@ -116,6 +118,14 @@ class HeapEventEngine:
             raise ValueError("negative delay")
         self.schedule(self.now + delay, kind, payload, priority)
 
+    def intern_kind(self, kind: str) -> str:
+        """API parity: every kind is its own code."""
+        return kind
+
+    def schedule_after_coded(self, delay: float, code: str, payload: Any) -> None:
+        """:meth:`schedule_after` under a code from :meth:`intern_kind`."""
+        self.schedule_after(delay, code, payload)
+
     def schedule_many(
         self,
         times: Sequence[float],
@@ -154,13 +164,14 @@ class HeapEventEngine:
         return self._heap[0].time if self._heap else None
 
 
-class PlaceCommitFifo(FifoDiscipline):
+class PlaceCommitFifo(QueueDiscipline):
     """Strict FIFO through ``place`` + ``commit``.
 
-    A subclass, so the core runs its generic loop — one ``schedule``
-    call per event, no max-free guard, no skipped arrivals — and fleet
-    dynamics are still allowed.
+    Tries the head after every event, whatever ``core.cause`` says: no
+    skipped arrivals and no max-free guard.
     """
+
+    name = "fifo"
 
     def schedule(self, core: SimulationCore) -> None:
         """Start jobs from the head until one fails to place."""
@@ -171,6 +182,11 @@ class PlaceCommitFifo(FifoDiscipline):
                 return
             queue.popleft()
             core.commit(placed)
+
+
+#: Skip-free bodies :func:`reference_core` runs in place of the
+#: production disciplines of the same name.
+REFERENCE_BODIES = {"fifo": PlaceCommitFifo, "easy-backfill": ReferenceEasyBackfill}
 
 
 class ReferenceMapa(Mapa):
@@ -233,14 +249,14 @@ class ReferenceCore(SimulationCore):
     Every placement attempt reaches the backend (no futile-retry memo),
     measured bandwidth and execution time are recomputed per start,
     ``try_start`` is ``place`` + ``commit``, and shadow times come from
-    a fresh sort of the running jobs.  Pair it with
-    :class:`PlaceCommitFifo` for FIFO (:func:`reference_core` does), so
-    the inlined FIFO loop is never taken.
+    a fresh sort of the running jobs.  :func:`reference_core` pairs it
+    with the skip-free FIFO and EASY bodies.
     """
 
     def __init__(self, backend, discipline, log, dynamics=None) -> None:
         super().__init__(backend, discipline, log, dynamics=dynamics)
         self.engine = HeapEventEngine()
+        self._completion_code = self.engine.intern_kind(COMPLETION)
 
     def place(self, job: Job) -> Optional[PlacedJob]:
         """Place ``job`` and evaluate its runtime, from scratch."""
@@ -285,8 +301,8 @@ def reference_core(
     """A reference core over a fresh fleet, shaped like
     :class:`repro.cluster.MultiServerSimulator` (same log names)."""
     discipline = make_discipline(scheduling)
-    if type(discipline) is FifoDiscipline:
-        discipline = PlaceCommitFifo()
+    if discipline.name in REFERENCE_BODIES:
+        discipline = REFERENCE_BODIES[discipline.name]()
     return ReferenceCore(
         ReferenceScheduler(
             servers,

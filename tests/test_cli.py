@@ -189,6 +189,18 @@ class TestScenario:
         assert len(trace) == 15
         assert trace.max_gpus() <= 6  # fits the fleet's 6-GPU servers
 
+    def test_fleet_replay_with_dynamics_under_easy_backfill(self, capsys):
+        rc = main(
+            ["scenario", "--num-jobs", "40", "--fleet", "dgx1-v100:3,dgx2:1",
+             "--scheduling", "easy-backfill",
+             "--dynamics", "failures=2,preemptions=3"]
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "2 failure/repair" in out and "3 preempt" in out
+        (line,) = [l for l in out.splitlines() if l.startswith("jobs ")]
+        assert line.rsplit("|", 1)[1].strip() == "40"
+
     def test_grid_sweeps_with_cache(self, tmp_path, capsys):
         cache = str(tmp_path / "cache")
         args = ["scenario", "--num-jobs", "10", "--grid",

@@ -3,16 +3,16 @@
 :class:`repro.sim.disciplines.EasyBackfillDiscipline` skips every
 placement attempt whose outcome it can already tell: jobs too large for
 any server, jobs whose runtime lower bound overruns the shadow time, and
-— in passes triggered only by arrivals — every job but the new tail and
-the jobs rejected on their exact execution time.  Each skip is claimed
+— in passes after an arrival — every job but the new tail and the jobs
+rejected on their exact execution time.  Each skip is claimed
 to be exact, so a replay must be byte-identical to the reference body in
 ``tests/reference/easy_backfill.py``, which places every queued job and
 commits or aborts.  The cases cover both backends, every node policy,
 the production core and the memo-free reference core
 (``tests/reference/replay.py``), the one non-monotone case, and a
-discipline instance reused across runs; a last check holds the core's
+discipline instance reused across runs; the last checks hold the core's
 kept completion timeline to a from-scratch shadow time under fleet
-dynamics.
+dynamics, and keep servers that are down out of the shadow time.
 """
 
 import json
@@ -26,6 +26,7 @@ from repro.cluster import MultiServerSimulator
 from repro.policies.registry import make_policy
 from repro.scenarios import (
     DynamicsSpec,
+    FleetEvent,
     PoissonArrivals,
     ScenarioSpec,
     mixed_fleet,
@@ -169,8 +170,8 @@ def test_discipline_instance_reused_across_runs():
 
 
 class _ShadowProbe(FifoDiscipline):
-    """FIFO (so fleet dynamics are allowed) that checks shadow times
-    against a fresh sort and records them."""
+    """FIFO that checks shadow times against a fresh sort after every
+    event and records them."""
 
     def __init__(self):
         self.shadows = []
@@ -208,3 +209,25 @@ def test_shadow_time_exact_under_fleet_dynamics(production_core):
     if not production_core:
         reference = reference_core(fleet.build(), dynamics=dynamics)
         assert _shadow_series(reference, trace) == series
+
+
+@pytest.mark.parametrize("action", ["fail", "remove"])
+@pytest.mark.parametrize("production_core", [True, False])
+def test_shadow_time_ignores_servers_that_are_down(production_core, action):
+    """Two DGX-1V; server 0 fails (or drains) idle, a 6-GPU job starts
+    on server 1.  Server 0's eight free GPUs take no placement, so a
+    5-GPU head waits for the 6-GPU job to finish."""
+    servers = [by_name("dgx1-v100")] * 2
+    if production_core:
+        core = MultiServerSimulator(servers).core
+    else:
+        core = reference_core(servers)
+    assert core.earliest_fit_time(5) == core.now  # both servers up
+    core._apply_fleet_event(FleetEvent(time=0.0, action=action, server=0))
+    assert core.try_start(Job(1, "caffenet", 6, "ring", False, 0.0))
+    assert core.backend.free_gpu_counts() == (8, 2)
+    assert core.backend.max_free_count() == 2
+    (finish,) = [row[8] for row in core._running.values()]
+    assert finish > core.now
+    assert core.earliest_fit_time(5) == finish
+    assert core.earliest_fit_time(2) == core.now

@@ -11,6 +11,7 @@ from repro.experiments import (
     TraceSpec,
 )
 from repro.scenarios import (
+    DynamicsSpec,
     MMPPArrivals,
     PoissonArrivals,
     ScenarioSpec,
@@ -118,6 +119,25 @@ class TestGridIntegration:
             a = cold.results[cell].log.to_dict()
             b = warm.results[cell].log.to_dict()
             assert a == b  # bit-exact through the JSON cache
+
+    def test_dynamics_scenario_sweeps_under_every_discipline(self):
+        """A dynamics-carrying scenario completes under FIFO and EASY
+        alike (a single-server cell replays its preemptions)."""
+        spec = ExperimentSpec(
+            name="chaos-sweep",
+            policies=("preserve",),
+            disciplines=("fifo", "easy-backfill"),
+            trace=ScenarioSpec(
+                num_jobs=20,
+                seed=4,
+                arrival=PoissonArrivals(5.0),
+                dynamics=DynamicsSpec(horizon=60.0, failures=1, preemptions=4),
+            ),
+        )
+        outcome = SweepRunner().run(spec)
+        assert outcome.num_simulated == 2
+        for cell in spec.expand():
+            assert len(outcome.results[cell].log) == 20
 
     def test_rejects_non_trace_objects(self):
         with pytest.raises(ValueError, match="TraceSpec or ScenarioSpec"):
