@@ -88,10 +88,11 @@ def log_columns_to_csv(log, path: Optional[str] = None) -> str:
 
     The column-level sibling of :func:`log_to_csv`: reads through
     :meth:`~repro.sim.records.SimulationLog.numeric_columns` (plus the
-    derived wait/execution times), so a log decoded lazily from the
-    binary tier or a shared-memory arena is exported straight from its
-    zero-copy buffers — no :class:`~repro.sim.records.JobRecord` is
-    ever materialised.  String columns (workload, pattern, allocation)
+    derived wait/execution times), so a log decoded lazily from an
+    ``.mlog`` payload (a store entry or a sweep worker's returned
+    bytes) is exported straight from its zero-copy views — no
+    :class:`~repro.sim.records.JobRecord` is ever materialised.
+    String columns (workload, pattern, allocation)
     are deliberately absent; use :func:`log_to_csv` when you need them.
     """
     cols = log.numeric_columns()

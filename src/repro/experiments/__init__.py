@@ -10,8 +10,8 @@ infrastructure:
 * :class:`~repro.experiments.runner.SweepRunner` — shards cache-miss
   cells across a process pool and reuses everything else;
 * :class:`~repro.experiments.store.ResultStore` — content-addressed
-  JSON cache of per-cell simulation logs (atomic writes, safe under
-  parallel workers);
+  ``.mlog`` cache of per-cell simulation logs (atomic writes, safe
+  under parallel workers);
 * :mod:`~repro.experiments.presets` — the paper's canonical trace and
   grid constants, consumed by benchmarks and tests.
 

@@ -7,7 +7,10 @@ processes.  :class:`SweepRunner` expands a spec, serves every cell it
 can from the :class:`~repro.experiments.store.ResultStore`, shards the
 remaining cells across workers, and returns a :class:`SweepOutcome`
 whose logs are indistinguishable from a direct
-:func:`repro.sim.cluster.run_all_policies` run.
+:func:`repro.sim.cluster.run_all_policies` run.  Workers send each
+finished cell back as ``.mlog`` bytes over the pool pipe
+(:mod:`repro.experiments.transport`); the parent writes those bytes to
+the store unchanged and decodes them lazily.
 
 Determinism: a cell's trace is generated inside the worker from the
 explicit seed in its :class:`~repro.experiments.spec.TraceSpec`, and the
@@ -24,7 +27,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -39,15 +41,7 @@ from ..topology.builders import by_name
 from .spec import CellConfig, ExperimentSpec
 from .spill import ScanSpillStore
 from .store import CellResult, ResultStore
-from .transport import (
-    DEFAULT_ARENA_BYTES,
-    ArenaReader,
-    CellHandle,
-    CellReturn,
-    TransportConfig,
-    new_run_id,
-    pack_result,
-)
+from .transport import ArenaReader, CellHandle, CellReturn, pack_result
 
 #: Environment variable naming the persistent scan-tier root.  Worker
 #: processes read it (the executor's fork/spawn children inherit the
@@ -181,18 +175,14 @@ def simulate_cell(cell: CellConfig) -> CellResult:
     )
 
 
-def simulate_cell_packed(
-    cell: CellConfig, config: TransportConfig
-) -> CellReturn:
-    """Worker entry point of the zero-copy return path.
+def simulate_cell_packed(cell: CellConfig) -> CellReturn:
+    """Worker entry point: simulate the cell, return its ``.mlog`` bytes.
 
-    Simulates the cell, then ships back a shared-memory / spilled /
-    inline ``.mlog`` descriptor instead of the pickled record list
-    (see :mod:`repro.experiments.transport` for the fallback ladder).
-    Module-level so the executor can pickle it; the transport config
-    travels per call because the persistent pool outlives any run.
+    Ships a :class:`~repro.experiments.transport.CellHandle` instead of
+    the pickled record list (see :mod:`repro.experiments.transport`).
+    Module-level so the executor can pickle it.
     """
-    return pack_result(simulate_cell(cell), config)
+    return pack_result(simulate_cell(cell))
 
 
 @dataclass
@@ -204,9 +194,8 @@ class SweepOutcome:
     results: Dict[CellConfig, CellResult]
     elapsed: float = 0.0
     jobs: int = 1
-    #: Parent-side reader of the workers' shared-memory arenas.  Logs
-    #: returned through the zero-copy path are lazy views into these
-    #: segments, so the reader lives exactly as long as the outcome.
+    #: Decoder of the workers' returned payloads (see
+    #: :class:`~repro.experiments.transport.ArenaReader`).
     transport: Optional[ArenaReader] = None
 
     @property
@@ -257,7 +246,7 @@ class SweepOutcome:
         """Per-cell summary metrics (the sweep CLI's table rows).
 
         Aggregates through :meth:`SimulationLog.numeric_columns`, so a
-        summary-only sweep over zero-copy or binary-tier logs never
+        summary-only sweep over lazily decoded ``.mlog`` logs never
         materialises a single :class:`~repro.sim.records.JobRecord`.
         The numpy reductions see the same float64 values in the same
         order as the historical per-record comprehensions, so every
@@ -323,13 +312,6 @@ class SweepRunner:
         partitions and spill fresh winners back after each simulated
         cell; passed to workers through :data:`SCAN_SPILL_ENV`.
         ``None`` (the default) leaves the tier disabled.
-    arena_bytes:
-        Size of each worker's per-run shared-memory arena for the
-        zero-copy return path.  ``0`` disables the arena — workers
-        then spill ``.mlog`` payloads into the store's binary tier or
-        inline them on the pipe; the descriptor path itself cannot be
-        disabled short of the codec's own fallback to plain pickled
-        results.
     """
 
     def __init__(
@@ -337,14 +319,12 @@ class SweepRunner:
         store: Optional[ResultStore] = None,
         jobs: int = 1,
         scan_spill: Optional[str] = None,
-        arena_bytes: int = DEFAULT_ARENA_BYTES,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be ≥ 1")
         self.store = store
         self.jobs = jobs
         self.scan_spill = scan_spill
-        self.arena_bytes = arena_bytes
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_workers = 0
 
@@ -388,20 +368,14 @@ class SweepRunner:
         for cell, returned in zip(missing, self._simulate(missing)):
             if isinstance(returned, CellHandle):
                 if self.store is not None:
-                    payload = reader.payload_bytes(returned)
-                    if payload is not None:
-                        # "stored" handles are already in the binary
-                        # tier; shm/inline payloads persist as-is —
-                        # no re-encode, no record materialisation.
-                        self.store.save_payload(
-                            returned.config_hash, payload
-                        )
-                result = reader.materialize(returned)
-            else:
-                result = returned
-                if self.store is not None:
-                    self.store.save(result)
-            results[cell] = result
+                    # persisted as-is: no re-encode, no record rebuild
+                    self.store.save_payload(
+                        returned.config_hash, returned.payload
+                    )
+                returned = reader.materialize(returned)
+            elif self.store is not None:
+                self.store.save(returned)
+            results[cell] = returned
 
         return SweepOutcome(
             spec=spec,
@@ -434,23 +408,14 @@ class SweepRunner:
             _reset_spill_state()
 
     def _simulate_cells(self, cells: Sequence[CellConfig]) -> List[CellReturn]:
-        """Run cache-miss cells; parallel runs return zero-copy handles.
+        """Run cache-miss cells; parallel runs return encoded handles.
 
-        The serial path stays in-process — no pickling, so descriptors
-        would only add copies — and returns plain results.
+        The serial path stays in-process — no pickling, so encoding
+        would only add a copy — and returns plain results.
         """
         if self.jobs == 1 or len(cells) == 1:
             return [simulate_cell(cell) for cell in cells]
-        config = TransportConfig(
-            run_id=new_run_id(),
-            arena_bytes=self.arena_bytes,
-            store_root=self.store.root if self.store is not None else None,
-        )
-        return list(
-            self._ensure_pool().map(
-                simulate_cell_packed, cells, repeat(config)
-            )
-        )
+        return list(self._ensure_pool().map(simulate_cell_packed, cells))
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         """This runner's persistent executor, (re)built only when needed.

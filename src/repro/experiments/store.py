@@ -5,17 +5,15 @@ Each simulated cell persists its :class:`~repro.sim.records.SimulationLog`
 re-run — same trace, topology, policy, discipline, model — is served
 from disk instead of re-simulating.
 
-Two payload tiers share the fan-out layout.  The default **binary
-tier** stores the log as an ``.mlog`` payload (the columnar codec of
-:mod:`repro.sim.records` — versioned header, dtype manifest,
-per-column CRC), decoded lazily so summary-only readers never
-materialise per-job records.  The **JSON tier** is the reference
-encoding and the back-compat path: pre-binary stores keep working, and
-a JSON entry read through a binary store is transparently migrated (an
-``.mlog`` twin is written next to it on first load).  Both encodings
-round-trip floats bit-exactly, so every table derived from a cached
-log is byte-identical to one derived from a fresh simulation — and to
-each other.
+Results are written as ``.mlog`` payloads (the columnar codec of
+:mod:`repro.sim.records` — versioned header, dtype manifest, per-column
+CRC), decoded lazily so summary-only readers never materialise per-job
+records.  JSON is written only for a log the codec rejects.  JSON
+entries from older stores stay readable: a JSON hit is migrated
+read-through (an ``.mlog`` twin is written next to it, replacing a
+damaged one).  Both encodings round-trip floats bit-exactly, so every
+table derived from a cached log is byte-identical to one derived from a
+fresh simulation.
 
 Writes are atomic (temp file + ``os.replace``) because sweep workers
 run in parallel and several processes may target the same store.
@@ -163,16 +161,13 @@ class StoreStats:
 class ResultStore:
     """Filesystem-backed map from config hash to :class:`CellResult`.
 
-    ``binary=True`` (the default) saves new results to the ``.mlog``
-    tier and lazily decodes loads from it; ``binary=False`` pins the
-    store to the JSON reference tier (used by the migration smoke and
-    as the automatic fallback for logs the binary codec cannot
-    represent).  Loading always understands both tiers.
+    Saves go to the ``.mlog`` tier, and loads decode it lazily; a log
+    the codec cannot represent is saved as JSON.  Loading understands
+    both tiers.
     """
 
-    def __init__(self, root: Optional[str] = None, binary: bool = True) -> None:
+    def __init__(self, root: Optional[str] = None) -> None:
         self.root = root or default_cache_dir()
-        self.binary = binary
         self.hits = 0
         self.misses = 0
         #: Loads served by the binary / JSON tier, and JSON entries
@@ -191,10 +186,6 @@ class ResultStore:
         return os.path.join(
             self.root, config_hash[:2], f"{config_hash}{MLOG_SUFFIX}"
         )
-
-    def payload_path(self, config_hash: str) -> str:
-        """Public binary-tier path (sweep workers spill directly here)."""
-        return self._mlog_path(config_hash)
 
     def __contains__(self, cell: CellConfig) -> bool:
         """Whether a cell's result is already on disk (either tier)."""
@@ -241,80 +232,60 @@ class ResultStore:
 
         The binary tier is tried first (and decoded lazily — numeric
         summaries never materialise per-job records); the JSON tier is
-        the fallback, and a JSON hit on a binary store triggers
-        read-through migration: the decoded log is re-encoded and an
-        ``.mlog`` twin written next to the entry, so the next load is
+        the fallback, and a JSON hit triggers read-through migration:
+        the decoded log is re-encoded and its ``.mlog`` twin written —
+        or rewritten, when the twin was damaged — so the next load is
         binary.  Unreadable or truncated entries (e.g. from an
         interrupted run on a pre-atomic-write store) count as misses.
         """
         config_hash = cell.config_hash()
-        if self.binary:
-            result = self._load_mlog(config_hash)
-            if result is not None:
-                self.hits += 1
-                self.mlog_hits += 1
-                return result
+        result = self._load_mlog(config_hash)
+        if result is not None:
+            self.hits += 1
+            self.mlog_hits += 1
+            return result
         result = self._load_json(config_hash)
         if result is None:
             self.misses += 1
             return None
         self.hits += 1
         self.json_hits += 1
-        if self.binary and not os.path.exists(self._mlog_path(config_hash)):
-            try:
-                payload = encode_mlog(
-                    result.log,
-                    meta={"config_hash": config_hash, "label": result.label},
-                )
-                atomic_write_bytes(self._mlog_path(config_hash), payload)
-            except (MlogEncodeError, OSError):
-                pass  # migration is best-effort; JSON stays authoritative
-            else:
-                self.migrations += 1
+        try:
+            payload = encode_mlog(
+                result.log,
+                meta={"config_hash": config_hash, "label": result.label},
+            )
+            self.save_payload(config_hash, payload)
+        except (MlogEncodeError, OSError):
+            pass  # migration is best-effort; JSON stays authoritative
+        else:
+            self.migrations += 1
         return result
 
     def save(self, result: CellResult) -> str:
         """Atomically persist ``result``; returns the entry's path.
 
-        Binary stores write the ``.mlog`` payload; logs the codec
-        cannot represent (and JSON-pinned stores) take the JSON
-        reference path instead.
+        The ``.mlog`` payload is written; a log the codec cannot
+        represent is written as a JSON entry instead.
         """
-        if self.binary:
-            try:
-                payload = encode_mlog(
-                    result.log,
-                    meta={
-                        "config_hash": result.config_hash,
-                        "label": result.label,
-                    },
-                )
-            except MlogEncodeError:
-                pass  # fall back to the reference encoding below
-            else:
-                return atomic_write_bytes(
-                    self._mlog_path(result.config_hash), payload
-                )
-        path = self._path(result.config_hash)
-        return atomic_write_text(path, json.dumps(result.to_dict()))
+        try:
+            payload = encode_mlog(
+                result.log,
+                meta={"config_hash": result.config_hash, "label": result.label},
+            )
+        except MlogEncodeError:
+            path = self._path(result.config_hash)
+            return atomic_write_text(path, json.dumps(result.to_dict()))
+        return self.save_payload(result.config_hash, payload)
 
     def save_payload(self, config_hash: str, payload: bytes) -> str:
         """Atomically persist an already-encoded ``.mlog`` payload.
 
-        The zero-copy sweep path uses this from worker processes: a
-        worker whose shared-memory arena is full spills the encoded
-        payload straight into the binary tier and returns only a
-        descriptor.
+        The sweep runner stores each parallel worker's returned bytes
+        through this, without re-encoding; it is also part of the
+        import surface of ``benchmarks/perf/wl_sweep.py``.
         """
         return atomic_write_bytes(self._mlog_path(config_hash), payload)
-
-    def load_payload(self, config_hash: str) -> Optional[bytes]:
-        """Raw binary-tier payload bytes, or ``None`` when absent."""
-        try:
-            with open(self._mlog_path(config_hash), "rb") as fh:
-                return fh.read()
-        except OSError:
-            return None
 
     # ------------------------------------------------------------------ #
     # maintenance (the ``mapa cache`` subcommand)

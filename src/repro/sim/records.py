@@ -208,8 +208,8 @@ class SimulationLog:
         # the dictionary-encoded string/allocation columns, thawed into
         # the plain lists above only when something actually needs
         # per-record objects.  ``_buffer_owner`` pins whatever owns the
-        # memory the numeric views alias (a shared-memory segment, a
-        # bytes payload) for as long as this log lives.
+        # memory the numeric views alias (an ``.mlog`` payload) for as
+        # long as this log lives.
         self._lazy: Optional[Dict[str, Any]] = None
         self._buffer_owner: Any = None
 
@@ -629,13 +629,13 @@ class SimulationLog:
         """Rebuild a log from a :meth:`to_columns` snapshot.
 
         The numeric buffers alias ``columns``' arrays directly (no
-        copy — the arrays may be read-only views into a shared-memory
-        segment or a decoded payload; the first append copies them out
-        via the growth path).  ``lazy=True`` defers decoding the
+        copy — the arrays may be read-only views into a decoded
+        payload; the first append copies them out via the growth
+        path).  ``lazy=True`` defers decoding the
         string/allocation columns until per-record objects are actually
         requested; the columnar summary accessors never trigger it.
         ``owner`` is pinned on the log to keep whatever backs the
-        arrays (a shared-memory handle, a payload buffer) alive.
+        arrays (a payload buffer) alive.
         """
         try:
             arrays = {
@@ -813,16 +813,14 @@ def _header_error(why: str) -> MlogFormatError:
 def decode_mlog(
     payload: "bytes | bytearray | memoryview",
     lazy: bool = False,
-    owner: Any = None,
 ) -> Tuple[Dict[str, Any], "SimulationLog"]:
     """Decode an ``.mlog`` payload; returns ``(meta, log)``.
 
     The log's numeric buffers are zero-copy views into ``payload``
     (read-only when the payload is immutable); ``lazy=True`` defers
     string/allocation decoding exactly as
-    :meth:`SimulationLog.from_columns` does.  ``owner`` (default: the
-    payload itself) is pinned on the log so the backing memory outlives
-    every view.
+    :meth:`SimulationLog.from_columns` does.  The payload is pinned on
+    the log so the backing memory outlives every view.
 
     Every validation failure — wrong magic, unknown version, truncated
     or overlapping columns, a CRC mismatch from a bit flip — raises
@@ -910,7 +908,5 @@ def decode_mlog(
         arrays=arrays,
     )
     meta = header.get("meta")
-    log = SimulationLog.from_columns(
-        columns, lazy=lazy, owner=owner if owner is not None else buf
-    )
+    log = SimulationLog.from_columns(columns, lazy=lazy, owner=buf)
     return (dict(meta) if isinstance(meta, dict) else {}), log

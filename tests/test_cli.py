@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -284,6 +286,40 @@ class TestCacheCommand:
         assert "removed 1 file(s)" in capsys.readouterr().out
         assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
         assert "sweep entries        | 0" in capsys.readouterr().out
+
+    def test_legacy_json_store_migrates_to_mlog(self, tmp_path, capsys):
+        """A pre-``.mlog`` store is served, gains ``.mlog`` twins on
+        read, and the twins alone serve the next run."""
+        import json
+
+        from repro.experiments import ResultStore
+        from repro.sim.records import decode_mlog
+
+        grid = ["--grid", "policy=baseline,preserve", "--trace-jobs", "12"]
+        fresh, legacy = tmp_path / "fresh", tmp_path / "legacy"
+        assert main(["sweep", *grid, "--cache-dir", str(fresh)]) == 0
+        for path in ResultStore(str(fresh)).mlog_paths():
+            with open(path, "rb") as fh:
+                meta, log = decode_mlog(fh.read())
+            digest = meta["config_hash"]
+            (legacy / digest[:2]).mkdir(parents=True, exist_ok=True)
+            (legacy / digest[:2] / f"{digest}.json").write_text(
+                json.dumps({**meta, "log": log.to_dict()}), encoding="utf-8"
+            )
+        assert len(ResultStore(str(legacy)).entry_paths()) == 2
+        capsys.readouterr()
+
+        assert main(["sweep", *grid, "--cache-dir", str(legacy)]) == 0
+        assert "2 cells, 2 cached, 0 simulated" in capsys.readouterr().err
+        assert main(["cache", "stats", "--cache-dir", str(legacy)]) == 0
+        out = capsys.readouterr().out
+        assert "json entries         | 2" in out
+        assert "mlog payloads        | 2" in out
+
+        for path in ResultStore(str(legacy)).entry_paths():
+            os.remove(path)
+        assert main(["sweep", *grid, "--cache-dir", str(legacy)]) == 0
+        assert "2 cells, 2 cached, 0 simulated" in capsys.readouterr().err
 
     def test_stats_on_missing_dir_is_empty_not_an_error(self, tmp_path, capsys):
         assert main(

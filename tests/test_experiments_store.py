@@ -83,6 +83,16 @@ class TestMisses:
         assert store.load(cell) is None
 
 
+def _write_legacy_json(root, result):
+    """Stage a pre-``.mlog`` store entry: ``<root>/<hh>/<hash>.json``."""
+    fanout = os.path.join(str(root), result.config_hash[:2])
+    os.makedirs(fanout, exist_ok=True)
+    path = os.path.join(fanout, f"{result.config_hash}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(result.to_dict(), fh)
+    return path
+
+
 def _age(path, seconds=7200.0):
     """Back-date a file's mtime so the clear guard sees it as stale."""
     old = time.time() - seconds
@@ -171,54 +181,66 @@ class TestBinaryTier:
         assert store.mlog_hits == 1 and store.json_hits == 0
         assert loaded.log.to_dict() == result.log.to_dict()
 
-    def test_json_pinned_store_never_writes_mlog(
-        self, tmp_path, cell, result
-    ):
-        store = ResultStore(str(tmp_path), binary=False)
-        path = store.save(result)
+    def test_unencodable_log_is_saved_as_json(self, tmp_path, cell, result):
+        import copy
+
+        log = copy.deepcopy(result.log)
+        log._thaw() if log._lazy else None
+        log._allocation[0] = ("gpu-a",)  # the codec needs integer GPU ids
+        broken = CellResult(result.config_hash, result.label, log)
+        store = ResultStore(str(tmp_path))
+        path = store.save(broken)
         assert path.endswith(".json")
+        assert store.mlog_paths() == []
         assert store.load(cell) is not None
-        assert store.json_hits == 1
+        assert store.json_hits == 1 and store.migrations == 0
         assert store.mlog_paths() == []
 
     def test_json_hit_migrates_read_through(self, tmp_path, cell, result):
-        ResultStore(str(tmp_path), binary=False).save(result)
+        _write_legacy_json(tmp_path, result)
         store = ResultStore(str(tmp_path))
         first = store.load(cell)
         assert first is not None
         assert store.json_hits == 1 and store.migrations == 1
-        assert os.path.exists(store.payload_path(result.config_hash))
+        assert len(store.mlog_paths()) == 1
         # Second load is served from the freshly-written binary twin.
         second = store.load(cell)
         assert store.mlog_hits == 1
         assert second.log.to_dict() == first.log.to_dict()
 
     def test_corrupt_mlog_falls_back_to_json(self, tmp_path, cell, result):
-        ResultStore(str(tmp_path), binary=False).save(result)
+        _write_legacy_json(tmp_path, result)
         store = ResultStore(str(tmp_path))
-        with open(store.payload_path(result.config_hash), "wb") as fh:
+        twin = store.save(result)
+        with open(twin, "wb") as fh:
             fh.write(b"MLOG garbage")
         loaded = store.load(cell)
         assert loaded is not None
         assert store.json_hits == 1 and store.mlog_hits == 0
         assert loaded.log.to_dict() == result.log.to_dict()
+        # The damaged twin was rewritten from the JSON entry.
+        again = store.load(cell)
+        assert store.mlog_hits == 1 and store.json_hits == 1
+        assert store.migrations == 1
+        assert again.log.to_dict() == result.log.to_dict()
 
     def test_payload_round_trip(self, tmp_path, result):
         from repro.sim.records import decode_mlog, encode_mlog
 
         store = ResultStore(str(tmp_path))
         payload = encode_mlog(result.log, meta={"config_hash": "deadbeef"})
-        store.save_payload("deadbeef", payload)
-        assert store.load_payload("deadbeef") == payload
+        path = store.save_payload("deadbeef", payload)
+        with open(path, "rb") as fh:
+            assert fh.read() == payload
+        assert store.mlog_paths() == [path]
         meta, log = decode_mlog(payload, lazy=True)
         assert meta["config_hash"] == "deadbeef"
         assert log.to_dict() == result.log.to_dict()
-        assert store.load_payload("not-there") is None
 
     def test_disk_stats_and_clear_cover_both_tiers(
         self, tmp_path, cell, result
     ):
-        ResultStore(str(tmp_path), binary=False).save(result)
+        _write_legacy_json(tmp_path, result)
         store = ResultStore(str(tmp_path))
         store.load(cell)  # migrate: entry now has a JSON and an .mlog file
         stats = store.disk_stats()
@@ -247,7 +269,7 @@ class TestDiskStatsNeverOpens:
         cache stats`` unusable otherwise."""
         store = ResultStore(str(tmp_path))
         store.save(result)
-        ResultStore(str(tmp_path), binary=False).save(result)
+        _write_legacy_json(tmp_path, result)
 
         opened = []
         real_open = open

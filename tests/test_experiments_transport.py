@@ -1,111 +1,58 @@
-"""Unit tests for the zero-copy sweep transport.
+"""Unit tests for the sweep transport.
 
-The fallback ladder (shm → stored → inline → plain pickle), arena
-rollover across runs, the parent's unlink-on-attach lifecycle, and the
-end-to-end guarantee that a parallel sweep over the transport is
-byte-identical to the serial reference.
+Workers return each cell as a :class:`CellHandle` carrying its
+``.mlog`` bytes over the pool pipe; a log the codec rejects comes back
+as a plain :class:`CellResult`.  End to end, a parallel sweep creates
+no shared memory and is byte-identical to the serial reference.
 """
 
-import os
+import copy
+from multiprocessing import shared_memory
 
 import pytest
 
 from repro.experiments import ResultStore, TraceSpec, simulate_cell
 from repro.experiments.runner import SweepRunner, simulate_cell_packed
 from repro.experiments.spec import CellConfig, ExperimentSpec
+from repro.experiments.store import CellResult
 from repro.experiments.transport import (
     ArenaReader,
     CellHandle,
     TransportConfig,
-    _release_worker_arena,
     new_run_id,
     pack_result,
+)
+from repro.sim.records import decode_mlog
+
+CELL = CellConfig(
+    topology="dgx1-v100",
+    policy="baseline",
+    discipline="fifo",
+    trace=TraceSpec(num_jobs=8),
 )
 
 
 @pytest.fixture(scope="module")
 def result():
-    return simulate_cell(
-        CellConfig(
-            topology="dgx1-v100",
-            policy="baseline",
-            discipline="fifo",
-            trace=TraceSpec(num_jobs=8),
-        )
-    )
-
-
-@pytest.fixture(autouse=True)
-def clean_worker_arena():
-    """Each test starts and ends with no in-process worker arena."""
-    _release_worker_arena()
-    yield
-    _release_worker_arena()
-
-
-def _segments():
-    """Names of live shared-memory segments on this host."""
-    try:
-        return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return set()
+    return simulate_cell(CELL)
 
 
 class TestFallbackLadder:
-    def test_shm_rung_round_trips(self, result):
-        config = TransportConfig(run_id=new_run_id())
-        before = _segments()
-        returned = pack_result(result, config)
+    def test_inline_rung_round_trips(self, result):
+        returned = pack_result(result, TransportConfig(run_id=new_run_id()))
         assert isinstance(returned, CellHandle)
-        assert returned.kind == "shm"
-        assert returned.segment is not None and returned.payload is None
-        assert _segments() - before  # worker arena is live
+        assert returned.config_hash == result.config_hash
+        assert returned.label == result.label
+        meta, _ = decode_mlog(returned.payload)
+        assert meta == {"config_hash": result.config_hash, "label": result.label}
         reader = ArenaReader()
-        assert reader.payload_bytes(returned) is not None
-        cell_result = reader.materialize(returned)
-        assert cell_result.log.to_dict() == result.log.to_dict()
-        # Attach unlinked the name; the mappings stay valid.
-        assert _segments() == before
+        decoded = reader.materialize(returned)
+        assert decoded.log._lazy is not None
+        assert decoded.log.to_dict() == result.log.to_dict()
+        assert reader.segment_names() == []
         reader.close()
 
-    def test_stored_rung_spills_into_binary_tier(self, result, tmp_path):
-        config = TransportConfig(
-            run_id=new_run_id(), arena_bytes=0, store_root=str(tmp_path)
-        )
-        before = _segments()
-        returned = pack_result(result, config)
-        assert returned.kind == "stored"
-        assert _segments() == before  # no arena was created
-        store = ResultStore(str(tmp_path))
-        assert os.path.exists(store.payload_path(result.config_hash))
-        reader = ArenaReader()
-        assert reader.payload_bytes(returned) is None  # already persisted
-        assert (
-            reader.materialize(returned).log.to_dict()
-            == result.log.to_dict()
-        )
-
-    def test_inline_rung_when_arena_too_small_and_no_store(self, result):
-        config = TransportConfig(run_id=new_run_id(), arena_bytes=128)
-        before = _segments()
-        returned = pack_result(result, config)
-        assert returned.kind == "inline"
-        assert returned.payload is not None
-        # The dead arena was unlinked by the worker itself, and later
-        # cells of the same run skip re-creating it.
-        assert _segments() == before
-        again = pack_result(result, config)
-        assert again.kind == "inline"
-        assert (
-            ArenaReader().materialize(returned).log.to_dict()
-            == result.log.to_dict()
-        )
-
     def test_unencodable_log_falls_back_to_plain_result(self, result):
-        import copy
-
-        from repro.experiments.store import CellResult
-
         broken = copy.deepcopy(result)
         broken.log._thaw() if broken.log._lazy else None
         broken.log._allocation[0] = ("gpu-a",)  # non-integer allocation
@@ -115,48 +62,33 @@ class TestFallbackLadder:
             log=broken.log,
             cached=False,
         )
-        returned = pack_result(
-            broken, TransportConfig(run_id=new_run_id())
-        )
+        returned = pack_result(broken, TransportConfig(run_id=new_run_id()))
         assert isinstance(returned, CellResult)
-
-
-class TestArenaRollover:
-    def test_new_run_id_rolls_the_arena(self, result):
-        first = pack_result(result, TransportConfig(run_id=new_run_id()))
-        second = pack_result(result, TransportConfig(run_id=new_run_id()))
-        assert first.kind == second.kind == "shm"
-        assert first.segment != second.segment
-        reader = ArenaReader()
-        for handle in (first, second):
-            assert (
-                reader.materialize(handle).log.to_dict()
-                == result.log.to_dict()
-            )
-        reader.close()
-
-    def test_same_run_reuses_the_arena(self, result):
-        config = TransportConfig(run_id=new_run_id())
-        first = pack_result(result, config)
-        second = pack_result(result, config)
-        assert first.segment == second.segment
-        assert second.offset > first.offset
 
 
 class TestWorkerEntry:
     def test_simulate_cell_packed_matches_simulate_cell(self, result):
-        cell = CellConfig(
-            topology="dgx1-v100",
-            policy="baseline",
-            discipline="fifo",
-            trace=TraceSpec(num_jobs=8),
-        )
-        returned = simulate_cell_packed(
-            cell, TransportConfig(run_id=new_run_id())
-        )
+        returned = simulate_cell_packed(CELL)
         assert isinstance(returned, CellHandle)
         decoded = ArenaReader().materialize(returned)
         assert decoded.log.to_dict() == result.log.to_dict()
+
+
+class TestKnobsGone:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SweepRunner(arena_bytes=0),
+            lambda: TransportConfig(run_id="r", arena_bytes=0),
+            lambda: TransportConfig(run_id="r", store_root="/nowhere"),
+            lambda: ResultStore("/nowhere", binary=False),
+        ],
+        ids=["runner-arena_bytes", "config-arena_bytes",
+             "config-store_root", "store-binary"],
+    )
+    def test_removed_keyword_raises_type_error(self, build):
+        with pytest.raises(TypeError):
+            build()
 
 
 class TestEndToEnd:
@@ -169,26 +101,28 @@ class TestEndToEnd:
             trace=TraceSpec(num_jobs=10),
         )
 
-    def test_parallel_sweep_is_byte_identical_to_serial(self, tmp_path):
-        before = _segments()
+    def test_parallel_sweep_is_byte_identical_to_serial(
+        self, tmp_path, monkeypatch
+    ):
+        def no_segments(*_args, **_kwargs):
+            raise AssertionError("a sweep created a /dev/shm/psm_* segment")
+
+        # The pool forks after this patch, so it holds in the workers too.
+        monkeypatch.setattr(shared_memory, "SharedMemory", no_segments)
         serial = SweepRunner(jobs=1).run(self._spec())
-        parallel = SweepRunner(
-            jobs=2, store=ResultStore(str(tmp_path))
-        ).run(self._spec())
-        assert len(serial.results) == len(parallel.results)
+        with SweepRunner(jobs=2, store=ResultStore(str(tmp_path))) as runner:
+            parallel = runner.run(self._spec())
+        assert parallel.num_simulated == len(serial.results) == 2
         for cell in serial.cells:
             ours = serial.results[cell]
             theirs = parallel.results[cell]
             assert ours.config_hash == theirs.config_hash
             assert ours.log.to_dict() == theirs.log.to_dict()
-        assert parallel.transport is not None
-        parallel.transport.close()
-        assert _segments() == before  # nothing leaked
+        assert parallel.transport.segment_names() == []
 
     def test_summary_rows_leave_logs_lazy(self, tmp_path):
-        outcome = SweepRunner(
-            jobs=2, store=ResultStore(str(tmp_path))
-        ).run(self._spec())
+        with SweepRunner(jobs=2, store=ResultStore(str(tmp_path))) as runner:
+            outcome = runner.run(self._spec())
         outcome.summary_rows()
         logs = [outcome.results[c].log for c in outcome.cells]
         assert all(log._lazy is not None for log in logs)
@@ -198,11 +132,12 @@ class TestEndToEnd:
         assert logs[1]._lazy is not None
 
     def test_warm_rerun_hits_binary_tier(self, tmp_path):
-        store = ResultStore(str(tmp_path))
-        SweepRunner(jobs=2, store=store).run(self._spec())
+        with SweepRunner(jobs=2, store=ResultStore(str(tmp_path))) as runner:
+            runner.run(self._spec())
+        assert ResultStore(str(tmp_path)).entry_paths() == []
         warm_store = ResultStore(str(tmp_path))
-        outcome = SweepRunner(
-            jobs=2, store=warm_store
-        ).run(self._spec())
+        with SweepRunner(jobs=2, store=warm_store) as runner:
+            outcome = runner.run(self._spec())
         assert all(r.cached for r in outcome.results.values())
-        assert warm_store.mlog_hits == len(outcome.results)
+        assert warm_store.mlog_hits == len(outcome.results) == 2
+        assert warm_store.json_hits == warm_store.migrations == 0

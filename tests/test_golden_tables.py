@@ -49,7 +49,6 @@ TIMING_TABLES = {
     "scan_cache.txt",
     "scan_hotpath.txt",
     "serve.txt",
-    "sweep_transport.txt",
 }
 
 GOLDEN_TABLES = sorted(
