@@ -161,8 +161,9 @@ class Mapa:
         content-addressed ``(wiring, pattern, free set)`` entry — every
         input of the annotation is fixed for the object's lifetime — so
         a recurring winner re-annotates in one dict lookup, across
-        replays when the cache is shared.  Engines that build fresh
-        proposals per call (batch/scalar) simply never hit this memo.
+        replays when the cache is shared.  Policies that build fresh
+        proposals per call (``engine="batch"``) simply never hit this
+        memo.
         The memoized dict is shared read-only — :class:`Allocation`
         copies it into its frozen mapping view at construction.
         """

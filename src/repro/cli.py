@@ -59,6 +59,7 @@ from .appgraph import patterns
 from .allocator.mapa import Mapa
 from .policies.base import AllocationRequest
 from .policies.registry import POLICY_NAMES, make_policy
+from .policies.scan import SCAN_ENGINES
 from .scoring.effective import FEATURE_NAMES, PAPER_COEFFICIENTS
 from .scoring.regression import fit_for_hardware
 from .sim.cluster import run_all_policies
@@ -1510,8 +1511,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fleet.add_argument(
         "--engine",
         default="cached",
-        choices=("cached", "batch", "scalar"),
-        help="scan engine inside each shard (all bit-identical)",
+        choices=SCAN_ENGINES,
+        help="scan source inside each shard (both bit-identical)",
     )
     p_fleet.add_argument(
         "--mode",

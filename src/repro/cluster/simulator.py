@@ -115,11 +115,12 @@ def run_cluster(
 ) -> MultiServerSimulator:
     """Simulate a trace on a cluster; returns the simulator (log inside).
 
-    ``engine`` selects the GPU policies' scan engine: ``"cached"``
-    (default, fleet-shared content-addressed scan memoization),
-    ``"batch"`` or ``"scalar"`` — all bit-identical, which is what the
-    fleet-scale benchmark's cached-vs-batch gate verifies end to end.
-    ``scan_cache`` optionally supplies the cached engine's backing
+    ``engine`` selects the GPU policies' scan source: ``"cached"``
+    (default, fleet-shared content-addressed scan memoization) or
+    ``"batch"`` (a fresh scan per decision) — bit-identical, which is
+    what the fleet-scale benchmark's cached-vs-batch gate verifies end
+    to end; anything else raises ``ValueError``.
+    ``scan_cache`` optionally supplies the cached source's backing
     store, letting a caller keep it warm across repeated replays of
     the same fleet (cache keys are content-addressed, so reuse can
     only ever change speed, not results).  ``scan_spill`` optionally

@@ -1,6 +1,6 @@
 """Allocation policies: Baseline, Topo-aware, and MAPA's Greedy/Preserve."""
 
-from .base import Allocation, AllocationPolicy, AllocationRequest
+from .base import Allocation, AllocationPolicy, AllocationRequest, ScanningPolicy
 from .baseline import BaselinePolicy
 from .greedy import GreedyPolicy
 from .oracle import OraclePolicy
@@ -8,20 +8,20 @@ from .preserve import PreservePolicy
 from .topo_aware import TopoAwarePolicy
 from .registry import POLICY_NAMES, all_policies, make_policy
 from .scan import (
+    SCAN_ENGINES,
     BatchScan,
     CachedScan,
     MatchTable,
     ScoredMatch,
+    UncachedScan,
     batch_scan,
-    best_scored_match,
-    best_subset_then_mapping,
-    scan_scored_matches,
 )
 
 __all__ = [
     "Allocation",
     "AllocationPolicy",
     "AllocationRequest",
+    "ScanningPolicy",
     "BaselinePolicy",
     "GreedyPolicy",
     "OraclePolicy",
@@ -30,12 +30,11 @@ __all__ = [
     "POLICY_NAMES",
     "all_policies",
     "make_policy",
+    "SCAN_ENGINES",
     "BatchScan",
     "CachedScan",
     "MatchTable",
     "ScoredMatch",
+    "UncachedScan",
     "batch_scan",
-    "best_scored_match",
-    "best_subset_then_mapping",
-    "scan_scored_matches",
 ]

@@ -17,7 +17,9 @@ from typing import FrozenSet, Hashable, Mapping, Optional, Sequence, Tuple
 
 from ..appgraph.application import ApplicationGraph
 from ..matching.candidates import Match
+from ..scoring.memo import ScanCache
 from ..topology.hardware import HardwareGraph
+from .scan import SCAN_ENGINES, CachedScan, UncachedScan
 
 
 @dataclass(frozen=True)
@@ -127,3 +129,42 @@ class AllocationPolicy(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+class ScanningPolicy(AllocationPolicy):
+    """A policy that maximises a score over every match of the pattern.
+
+    Greedy, Preserve and Oracle differ only in the objective.  Each
+    ``allocate`` checks feasibility, picks an objective — a winner-memo
+    token and a ``proposal(scan) -> Allocation`` selector — and asks the
+    scan source for its decision.  The source is picked once, here.
+
+    Parameters
+    ----------
+    engine:
+        One of :data:`~repro.policies.scan.SCAN_ENGINES`.  ``"cached"``
+        (default) decides through a
+        :class:`~repro.policies.scan.CachedScan`, which memoizes each
+        (wiring, pattern, free-set) scan and its winner per token in a
+        content-addressed :class:`~repro.scoring.memo.ScanCache`;
+        ``"batch"`` decides through an
+        :class:`~repro.policies.scan.UncachedScan`, which rescans on
+        every call.  Both select identical allocations; anything else
+        raises ``ValueError``.
+    cache:
+        Backing :class:`~repro.scoring.memo.ScanCache` for the cached
+        source (the multi-server scheduler shares one across a fleet's
+        policies); private when omitted, ignored by ``"batch"``.
+    """
+
+    def __init__(
+        self, engine: str = "cached", cache: Optional[ScanCache] = None
+    ) -> None:
+        if engine not in SCAN_ENGINES:
+            raise ValueError(
+                f"unknown scan engine {engine!r}; known: {', '.join(SCAN_ENGINES)}"
+            )
+        self.engine = engine
+        self._scans = CachedScan(cache) if engine == "cached" else UncachedScan()
+        #: The backing cache, or ``None`` under ``engine="batch"``.
+        self.scan_cache: Optional[ScanCache] = self._scans.cache

@@ -14,58 +14,23 @@ from __future__ import annotations
 from typing import FrozenSet, Optional
 
 from ..matching.candidates import match_from_mapping
-from ..scoring.memo import ScanCache
 from ..topology.hardware import HardwareGraph
-from .base import Allocation, AllocationPolicy, AllocationRequest
-from .scan import (
-    BatchScan,
-    CachedScan,
-    batch_scan,
-    best_match_by_agg,
-    best_scored_match,
-)
-
-#: The scan engines a scanning policy accepts.
-SCAN_ENGINES = ("cached", "batch", "scalar")
+from .base import Allocation, AllocationRequest, ScanningPolicy
+from .scan import BatchScan, best_match_by_agg
 
 
-class GreedyPolicy(AllocationPolicy):
+class GreedyPolicy(ScanningPolicy):
     """Pick the match with the highest Aggregated Bandwidth.
 
-    Parameters
-    ----------
-    engine:
-        ``"cached"`` (default) serves repeated (wiring, pattern,
-        free-set) scans — and their AggBW winners — from a
-        content-addressed :class:`~repro.scoring.memo.ScanCache`;
-        ``"batch"`` scores every candidate match at once through the
-        vectorized engine on each call; ``"scalar"`` walks matches one
-        at a time — the bit-identical reference oracle the property
-        tests compare against.  All three select identical allocations.
-    cache:
-        Backing :class:`~repro.scoring.memo.ScanCache` for the cached
-        engine (shared across a fleet's policies by the multi-server
-        scheduler); a private cache is created when omitted.  Ignored
-        by the other engines.
+    ``engine`` and ``cache`` pick the scan source
+    (:class:`~repro.policies.base.ScanningPolicy`).
     """
 
     name = "greedy"
 
-    def __init__(
-        self, engine: str = "cached", cache: Optional[ScanCache] = None
-    ) -> None:
-        if engine not in SCAN_ENGINES:
-            raise ValueError(f"unknown scan engine {engine!r}")
-        self.engine = engine
-        self.scan_cache: Optional[ScanCache] = None
-        self._cached: Optional[CachedScan] = None
-        if engine == "cached":
-            self._cached = CachedScan(cache)
-            self.scan_cache = self._cached.cache
-
     @staticmethod
     def _proposal(scan: BatchScan) -> Allocation:
-        """The AggBW-winning proposal of one scan (memoized per entry)."""
+        """The AggBW-winning proposal of one scan."""
         best = best_match_by_agg(scan)
         match = match_from_mapping(scan.pattern, best.mapping)
         return Allocation(
@@ -82,25 +47,6 @@ class GreedyPolicy(AllocationPolicy):
         """Propose the AggBW-maximal match on the free GPUs, or ``None``."""
         if not self._feasible(request, available):
             return None
-        if self.engine == "cached":
-            entry = self._cached.entry(
-                request.pattern, hardware, available, free_mask
-            )
-            if entry is None:
-                return None
-            return entry.winner(("agg",), self._proposal)
-        if self.engine == "batch":
-            scan = batch_scan(request.pattern, hardware, available)
-            best = None if scan is None else best_match_by_agg(scan)
-        else:
-            best = best_scored_match(
-                request.pattern, hardware, available, key=lambda sm: sm.agg_bw
-            )
-        if best is None:
-            return None
-        match = match_from_mapping(request.pattern, best.mapping)
-        return Allocation(
-            gpus=best.subset,
-            match=match,
-            scores={"agg_bw": best.agg_bw},
+        return self._scans.decide(
+            request.pattern, hardware, available, free_mask, ("agg",), self._proposal
         )

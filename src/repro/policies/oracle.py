@@ -12,43 +12,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from itertools import combinations
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from ..comm.microbench import peak_effective_bandwidth
 from ..matching.candidates import match_from_mapping
 from ..scoring.memo import ScanCache
-from ..scoring.preserved import remaining_bandwidth
 from ..topology.hardware import HardwareGraph
-from .base import Allocation, AllocationPolicy, AllocationRequest
-from .greedy import SCAN_ENGINES
-from .scan import (
-    BatchScan,
-    CachedScan,
-    batch_scan,
-    best_match_by_preserved,
-    best_match_by_subset_score,
-    best_subset_then_mapping,
-)
+from .base import Allocation, AllocationRequest, ScanningPolicy
+from .scan import BatchScan, best_match_by_preserved, best_match_by_subset_score
 
 
-class OraclePolicy(AllocationPolicy):
+class OraclePolicy(ScanningPolicy):
     """Algorithm 1 with measured effective bandwidth instead of Eq. 2.
 
-    Parameters
-    ----------
-    engine:
-        ``"cached"`` (default) memoizes completed scans and the
-        measured-bandwidth winners under the content-addressed scan key
-        (the microbenchmark is a pure function of the wiring and the
-        subset, so cached winners replay it exactly); ``"batch"``
-        enumerates and tie-breaks candidates through the vectorized
-        scan each call (the microbenchmark itself stays scalar,
-        memoised per subset); ``"scalar"`` is the original reference
-        walk.
-    cache:
-        Backing :class:`~repro.scoring.memo.ScanCache` for the cached
-        engine; private when omitted.  Ignored by the other engines.
+    ``engine`` and ``cache`` pick the scan source
+    (:class:`~repro.policies.base.ScanningPolicy`).  The microbenchmark
+    is a pure function of the wiring and the subset, so cached winners
+    replay it exactly; it stays scalar, memoised per subset.
     """
 
     name = "oracle"
@@ -56,15 +36,8 @@ class OraclePolicy(AllocationPolicy):
     def __init__(
         self, engine: str = "cached", cache: Optional[ScanCache] = None
     ) -> None:
-        if engine not in SCAN_ENGINES:
-            raise ValueError(f"unknown scan engine {engine!r}")
-        self.engine = engine
+        super().__init__(engine, cache)
         self._cache: Dict[Tuple[HardwareGraph, Tuple[int, ...]], float] = {}
-        self.scan_cache: Optional[ScanCache] = None
-        self._cached: Optional[CachedScan] = None
-        if engine == "cached":
-            self._cached = CachedScan(cache)
-            self.scan_cache = self._cached.cache
 
     def _measure(self, hardware: HardwareGraph, subset: Tuple[int, ...]) -> float:
         """Memoised simulated-NCCL bandwidth of one GPU subset."""
@@ -86,31 +59,27 @@ class OraclePolicy(AllocationPolicy):
         if not self._feasible(request, available):
             return None
         if request.bandwidth_sensitive:
-            return self._allocate_sensitive(
-                request, hardware, available, free_mask
-            )
-        return self._allocate_insensitive(
-            request, hardware, available, free_mask
+            token = ("oracle-measured",)
+            proposal = lambda scan: self._sensitive_proposal(scan, hardware)
+        else:
+            token = ("oracle-preserved",)
+            proposal = self._insensitive_proposal
+        return self._scans.decide(
+            request.pattern, hardware, available, free_mask, token, proposal
         )
 
-    # ------------------------------------------------------------------ #
-    def _measured_scores(self, scan: BatchScan, hardware: HardwareGraph) -> np.ndarray:
-        """Measured bandwidth of every candidate subset of one scan."""
-        return np.array(
+    def _sensitive_proposal(
+        self, scan: BatchScan, hardware: HardwareGraph
+    ) -> Allocation:
+        """Maximise the *measured* bandwidth over candidate subsets."""
+        measured = np.array(
             [
                 self._measure(hardware, scan.subset(s))
                 for s in range(scan.num_subsets)
             ],
             dtype=np.float64,
         )
-
-    def _sensitive_proposal(
-        self, scan: BatchScan, hardware: HardwareGraph
-    ) -> Allocation:
-        """The measured-bandwidth winner of one scan (memoized per entry)."""
-        best = best_match_by_subset_score(
-            scan, self._measured_scores(scan, hardware)
-        )
+        best = best_match_by_subset_score(scan, measured)
         match = match_from_mapping(scan.pattern, best.mapping)
         return Allocation(
             gpus=best.subset,
@@ -123,99 +92,9 @@ class OraclePolicy(AllocationPolicy):
 
     @staticmethod
     def _insensitive_proposal(scan: BatchScan) -> Allocation:
-        """The Eq. 3 winner of one scan (memoized per entry)."""
+        """Insensitive branch identical to Preserve (Eq. 3 is exact anyway)."""
         best, best_score = best_match_by_preserved(scan)
         match = match_from_mapping(scan.pattern, best.mapping)
-        return Allocation(
-            gpus=best.subset,
-            match=match,
-            scores={"preserved_bw": best_score, "agg_bw": best.agg_bw},
-        )
-
-    def _allocate_sensitive(
-        self,
-        request: AllocationRequest,
-        hardware: HardwareGraph,
-        available: FrozenSet[int],
-        free_mask: Optional[int] = None,
-    ) -> Optional[Allocation]:
-        """Maximise the *measured* bandwidth over candidate subsets."""
-        if self.engine == "cached":
-            entry = self._cached.entry(
-                request.pattern, hardware, available, free_mask
-            )
-            if entry is None:
-                return None
-            return entry.winner(
-                ("oracle-measured",),
-                lambda scan: self._sensitive_proposal(scan, hardware),
-            )
-        if self.engine == "batch":
-            scan = batch_scan(request.pattern, hardware, available)
-            if scan is None:
-                return None
-            best = best_match_by_subset_score(
-                scan, self._measured_scores(scan, hardware)
-            )
-        else:
-            best = best_subset_then_mapping(
-                request.pattern,
-                hardware,
-                available,
-                subset_key=lambda sm: self._measure(hardware, sm.subset),
-            )
-        if best is None:
-            return None
-        match = match_from_mapping(request.pattern, best.mapping)
-        return Allocation(
-            gpus=best.subset,
-            match=match,
-            scores={
-                "measured_bw": self._measure(hardware, best.subset),
-                "agg_bw": best.agg_bw,
-            },
-        )
-
-    def _allocate_insensitive(
-        self,
-        request: AllocationRequest,
-        hardware: HardwareGraph,
-        available: FrozenSet[int],
-        free_mask: Optional[int] = None,
-    ) -> Optional[Allocation]:
-        """Insensitive branch identical to Preserve (Eq. 3 is exact anyway)."""
-        if self.engine == "cached":
-            entry = self._cached.entry(
-                request.pattern, hardware, available, free_mask
-            )
-            if entry is None:
-                return None
-            return entry.winner(("oracle-preserved",), self._insensitive_proposal)
-        if self.engine == "batch":
-            scan = batch_scan(request.pattern, hardware, available)
-            if scan is None:
-                return None
-            best, best_score = best_match_by_preserved(scan)
-        else:
-            free = set(available)
-            k = request.num_gpus
-            best_subset: Optional[Tuple[int, ...]] = None
-            best_score = float("-inf")
-            for subset in combinations(sorted(free), k):
-                score = remaining_bandwidth(hardware, free - set(subset))
-                if score > best_score:
-                    best_score = score
-                    best_subset = subset
-            if best_subset is None:
-                return None
-            best = best_subset_then_mapping(
-                request.pattern,
-                hardware,
-                frozenset(best_subset),
-                subset_key=lambda sm: self._measure(hardware, sm.subset),
-            )
-            assert best is not None
-        match = match_from_mapping(request.pattern, best.mapping)
         return Allocation(
             gpus=best.subset,
             match=match,

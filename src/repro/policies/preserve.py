@@ -11,28 +11,18 @@ them.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from ..matching.candidates import match_from_mapping
 from ..scoring.census import LinkCensus
 from ..scoring.effective import EffectiveBandwidthModel, PAPER_MODEL
 from ..scoring.memo import ScanCache
-from ..scoring.preserved import remaining_bandwidth
 from ..topology.hardware import HardwareGraph
-from .base import Allocation, AllocationPolicy, AllocationRequest
-from .greedy import SCAN_ENGINES
-from .scan import (
-    BatchScan,
-    CachedScan,
-    batch_scan,
-    best_match_by_preserved,
-    best_match_by_subset_score,
-    best_subset_then_mapping,
-)
+from .base import Allocation, AllocationRequest, ScanningPolicy
+from .scan import BatchScan, best_match_by_preserved, best_match_by_subset_score
 
 
-class PreservePolicy(AllocationPolicy):
+class PreservePolicy(ScanningPolicy):
     """Algorithm 1: EffBW for sensitive jobs, PreservedBW for insensitive.
 
     Parameters
@@ -42,20 +32,10 @@ class PreservePolicy(AllocationPolicy):
         sensitive jobs.  Defaults to the paper's published coefficients;
         simulations typically pass a model refit against the simulated
         microbenchmark (see :func:`repro.scoring.regression.fit_for_hardware`).
-    engine:
-        ``"cached"`` (default) serves repeated (wiring, pattern,
-        free-set) scans and their Algorithm-1 winners from a
-        content-addressed :class:`~repro.scoring.memo.ScanCache` —
-        winner memo tokens carry the model's coefficient vector, so a
-        cache shared across differently fitted policies stays sound;
-        ``"batch"`` rescans as dense arrays each call; ``"scalar"`` is
-        the original per-match walk, kept as the bit-identical
-        reference oracle.  All engines share the per-census prediction
-        cache.
-    cache:
-        Backing :class:`~repro.scoring.memo.ScanCache` for the cached
-        engine (fleet-shared when the multi-server scheduler passes one
-        in); private when omitted.  Ignored by the other engines.
+        Winner tokens carry its coefficient vector, so a cache shared
+        across differently fitted policies stays sound.
+    engine, cache:
+        The scan source (:class:`~repro.policies.base.ScanningPolicy`).
     """
 
     name = "preserve"
@@ -66,16 +46,9 @@ class PreservePolicy(AllocationPolicy):
         engine: str = "cached",
         cache: Optional[ScanCache] = None,
     ) -> None:
-        if engine not in SCAN_ENGINES:
-            raise ValueError(f"unknown scan engine {engine!r}")
+        super().__init__(engine, cache)
         self.model = model
-        self.engine = engine
         self._predict_cache: Dict[Tuple[int, int, int], float] = {}
-        self.scan_cache: Optional[ScanCache] = None
-        self._cached: Optional[CachedScan] = None
-        if engine == "cached":
-            self._cached = CachedScan(cache)
-            self.scan_cache = self._cached.cache
 
     def _predict(self, census: LinkCensus) -> float:
         """Memoised Eq. 2 prediction for one (x, y, z) census."""
@@ -97,16 +70,17 @@ class PreservePolicy(AllocationPolicy):
         if not self._feasible(request, available):
             return None
         if request.bandwidth_sensitive:
-            return self._allocate_sensitive(
-                request, hardware, available, free_mask
-            )
-        return self._allocate_insensitive(
-            request, hardware, available, free_mask
+            token = ("effbw", self.model.coefficients)
+            proposal = self._sensitive_proposal
+        else:
+            token = ("preserved", self.model.coefficients)
+            proposal = self._insensitive_proposal
+        return self._scans.decide(
+            request.pattern, hardware, available, free_mask, token, proposal
         )
 
-    # ------------------------------------------------------------------ #
     def _sensitive_proposal(self, scan: BatchScan) -> Allocation:
-        """The Eq. 2 winning proposal of one scan (memoized per entry)."""
+        """Maximise the predicted EffBW of the induced census (Eq. 2)."""
         best = best_match_by_subset_score(
             scan,
             scan.subset_effective_bw(self._predict, self.model.coefficients),
@@ -122,110 +96,9 @@ class PreservePolicy(AllocationPolicy):
         )
 
     def _insensitive_proposal(self, scan: BatchScan) -> Allocation:
-        """The Eq. 3 winning proposal of one scan (memoized per entry)."""
+        """Maximise the bandwidth preserved for future jobs (Eq. 3)."""
         best, best_score = best_match_by_preserved(scan)
         match = match_from_mapping(scan.pattern, best.mapping)
-        return Allocation(
-            gpus=best.subset,
-            match=match,
-            scores={
-                "preserved_bw": best_score,
-                "effective_bw": self._predict(best.census),
-                "agg_bw": best.agg_bw,
-            },
-        )
-
-    def _allocate_sensitive(
-        self,
-        request: AllocationRequest,
-        hardware: HardwareGraph,
-        available: FrozenSet[int],
-        free_mask: Optional[int] = None,
-    ) -> Optional[Allocation]:
-        """Maximise the predicted EffBW of the induced census (Eq. 2)."""
-        if self.engine == "cached":
-            entry = self._cached.entry(
-                request.pattern, hardware, available, free_mask
-            )
-            if entry is None:
-                return None
-            return entry.winner(
-                ("effbw", self.model.coefficients), self._sensitive_proposal
-            )
-        if self.engine == "batch":
-            scan = batch_scan(request.pattern, hardware, available)
-            if scan is None:
-                return None
-            best = best_match_by_subset_score(
-                scan, scan.subset_effective_bw(self._predict)
-            )
-        else:
-            best = best_subset_then_mapping(
-                request.pattern,
-                hardware,
-                available,
-                subset_key=lambda sm: self._predict(sm.census),
-            )
-        if best is None:
-            return None
-        match = match_from_mapping(request.pattern, best.mapping)
-        return Allocation(
-            gpus=best.subset,
-            match=match,
-            scores={
-                "effective_bw": self._predict(best.census),
-                "agg_bw": best.agg_bw,
-            },
-        )
-
-    def _allocate_insensitive(
-        self,
-        request: AllocationRequest,
-        hardware: HardwareGraph,
-        available: FrozenSet[int],
-        free_mask: Optional[int] = None,
-    ) -> Optional[Allocation]:
-        """Maximise the bandwidth preserved for future jobs (Eq. 3)."""
-        if self.engine == "cached":
-            entry = self._cached.entry(
-                request.pattern, hardware, available, free_mask
-            )
-            if entry is None:
-                return None
-            return entry.winner(
-                ("preserved", self.model.coefficients),
-                self._insensitive_proposal,
-            )
-        if self.engine == "batch":
-            scan = batch_scan(request.pattern, hardware, available)
-            if scan is None:
-                return None
-            best, best_score = best_match_by_preserved(scan)
-        else:
-            # Preserved bandwidth depends only on the chosen vertex set,
-            # so the subset scan skips mapping enumeration entirely.
-            free = set(available)
-            k = request.num_gpus
-            best_subset: Optional[Tuple[int, ...]] = None
-            best_score = float("-inf")
-            for subset in combinations(sorted(free), k):
-                score = remaining_bandwidth(hardware, free - set(subset))
-                if score > best_score:
-                    best_score = score
-                    best_subset = subset
-            if best_subset is None:
-                return None
-            # Any mapping on the chosen subset preserves the same
-            # bandwidth; break the tie in the job's favour by aligning
-            # its pattern edges with the fastest links it got.
-            best = best_subset_then_mapping(
-                request.pattern,
-                hardware,
-                frozenset(best_subset),
-                subset_key=lambda sm: self._predict(sm.census),
-            )
-            assert best is not None
-        match = match_from_mapping(request.pattern, best.mapping)
         return Allocation(
             gpus=best.subset,
             match=match,

@@ -33,15 +33,15 @@ def make_policy(
         Configures the Preserve policy's Eq. 2 predictor; ignored by
         the others.
     engine:
-        Match-scan engine for the scanning policies (Greedy, Preserve,
-        Oracle): ``"cached"`` (content-addressed scan memoization over
-        the batch engine, the default), ``"batch"`` (vectorized,
-        rescans every call) or ``"scalar"`` (the bit-identical
-        reference path).  Ignored by Baseline and Topo-aware, which
-        never scan.
+        The scan source of the scanning policies (Greedy, Preserve,
+        Oracle), one of :data:`~repro.policies.scan.SCAN_ENGINES`:
+        ``"cached"`` (content-addressed scan and winner memoization,
+        the default) or ``"batch"`` (rescans every call).  Anything
+        else raises ``ValueError``.  Ignored by Baseline and
+        Topo-aware, which never scan.
     cache:
         A shared :class:`~repro.scoring.memo.ScanCache` for the cached
-        engine — the multi-server scheduler pools one across a fleet's
+        source — the multi-server scheduler pools one across a fleet's
         policies, and the sweep runner reuses one per worker process.
         Omitted → each scanning policy gets its own.  Ignored unless
         ``engine="cached"``.

@@ -10,43 +10,43 @@ things only:
   also what the NCCL microbenchmark that trains the model exercises);
 * the **mapped pattern edges** ``E(P) ∩ E(M)`` — what AggBW (Eq. 1) sums.
 
-Three engines implement the scan against the topology's precomputed
-:class:`~repro.topology.linktable.LinkTable`:
+Every match of a pattern is scored once, in a :class:`MatchTable` built
+against the topology's precomputed
+:class:`~repro.topology.linktable.LinkTable`: the dense builder
+enumerates the k-subsets of a GPU universe as numpy index matrices and
+reduces them through :mod:`repro.scoring.batch` — induced censuses via
+one gather, AggBW for every orbit via one product, Eq. 2 via
+unique-census lookup.  A scan (:class:`BatchScan`) is a *restriction*
+of a table: the rows whose subset lies inside the free set, selected by
+bitmask.  The ``best_*`` selectors read table rows and materialise only
+the winner.
 
-* the **scalar engine** (:func:`scan_scored_matches` plus
-  :func:`best_scored_match` / :func:`best_subset_then_mapping`) walks
-  subsets and orbit permutations one at a time with pure integer
-  indexing — the original implementation, kept as the reference oracle
-  the property tests compare against;
-* the **batch engine** scores every match of a pattern once, in a
-  :class:`MatchTable`: the dense builder enumerates the k-subsets of a
-  GPU universe as numpy index matrices and reduces them through
-  :mod:`repro.scoring.batch` — induced censuses via one gather, AggBW
-  for every orbit via one product, Eq. 2 via unique-census lookup.  A
-  scan (:class:`BatchScan`) is a *restriction* of a table: the rows
-  whose subset lies inside the free set, selected by bitmask.
-  :func:`batch_scan` builds a table over the free GPUs and keeps every
-  row; the ``best_*`` selectors read table rows and materialise only
-  the winner.  Scores and the selected match are bit-identical to the
-  scalar engine (see :mod:`repro.scoring.batch` for why);
-* the **cached engine** (:class:`CachedScan`) holds one table per
-  (wiring, pattern), built over the whole server on first contact and
-  kept in the :class:`~repro.scoring.memo.ScanCache`'s ``aux``
-  side-car, and answers each scan by restricting it to the free mask.
-  The restrictions — and the argmax winners selected from them — are
-  stored in the cache keyed by ``(topology_hash, pattern_id,
-  free_set_bitmask)``, so a server that returns to a previously seen
-  free set replays the stored result without even filtering.  A
-  restriction of the server-wide table equals a table built over the
-  free GPUs alone, so the engine stays bit-identical to both others.
-  This is what the policies run in production (``engine="cached"``).
+A scanning policy (:class:`~repro.policies.base.ScanningPolicy`) gets
+its scans from one of two *scan sources*, picked once by ``engine=``:
 
-Candidate order is shared by both engines: subsets ascend
-lexicographically over the sorted free GPUs, orbit permutations keep
-their :func:`~repro.matching.candidates.orbit_permutations` order
+* :class:`CachedScan` (``engine="cached"``, what the policies run in
+  production) holds one table per (wiring, pattern), built over the
+  whole server on first contact and kept in the
+  :class:`~repro.scoring.memo.ScanCache`'s ``aux`` side-car, and answers
+  each scan by restricting it to the free mask.  The restrictions — and
+  the argmax winners selected from them — are stored in the cache keyed
+  by ``(topology_hash, pattern_id, free_set_bitmask)``, so a server that
+  returns to a previously seen free set replays the stored winner
+  without even filtering;
+* :class:`UncachedScan` (``engine="batch"``) builds a table over the
+  free GPUs on every call (:func:`batch_scan`) and keeps all of its
+  rows.
+
+A restriction of the server-wide table equals a table built over the
+free GPUs alone, so both sources select bit-identical winners.  Both
+also agree with the one-match-at-a-time walk that the differential
+tests keep as their oracle (``tests/reference/scan.py``): subsets
+ascend lexicographically over the sorted free GPUs, orbit permutations
+keep their :func:`~repro.matching.candidates.orbit_permutations` order
 within each subset, and every selector breaks score ties towards the
-*earliest* candidate — so "first argmax" in the batch engine reproduces
-the scalar tuple-comparison tie-breaks exactly.
+*earliest* candidate, so "first argmax" reproduces the walk's
+tuple-comparison tie-breaks exactly (see :mod:`repro.scoring.batch` for
+why the scores are bit-identical).
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from typing import (
     Dict,
     FrozenSet,
     Hashable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -130,93 +129,8 @@ def _subset_matrix(m: int, k: int) -> np.ndarray:
     return subsets
 
 
-def scan_scored_matches(
-    pattern: ApplicationGraph,
-    hardware: HardwareGraph,
-    available: FrozenSet[int] | Sequence[int],
-) -> Iterator[ScoredMatch]:
-    """Yield every distinct match with its censuses and AggBW."""
-    verts = tuple(sorted(set(available)))
-    k = pattern.num_gpus
-    m = len(verts)
-    if k > m:
-        return
-    orbits = orbit_permutations(pattern)
-    # Pattern edges per orbit permutation as flat a*k+b subset indices.
-    orbit_flat: List[Tuple[int, ...]] = [
-        tuple(a * k + b for a, b in pairs) for pairs in _orbit_index_pairs(pattern)
-    ]
-    # Remap the topology-wide link table onto the available vertices once:
-    # flat m*m upper-triangular arrays of link-class code and bandwidth.
-    table = hardware.link_table
-    rows = [table.index[g] for g in verts]
-    n = table.n
-    tcodes = table.codes
-    tbw = table.bandwidths
-    vcodes = [0] * (m * m)
-    vbw = [0.0] * (m * m)
-    for i in range(m):
-        ri = rows[i] * n
-        base = i * m
-        for j in range(i + 1, m):
-            p = ri + rows[j]
-            vcodes[base + j] = tcodes[p]
-            vbw[base + j] = tbw[p]
-    scode = [0] * (k * k)
-    sbw = [0.0] * (k * k)
-    for local in combinations(range(m), k):
-        subset = tuple(verts[i] for i in local)
-        # Per-subset pair codes/bandwidths (flat a*k+b) plus the induced
-        # census shared by every mapping on the subset.
-        counts = [0, 0, 0]
-        for a in range(k):
-            base = local[a] * m
-            arow = a * k
-            for b in range(a + 1, k):
-                p = base + local[b]
-                c = vcodes[p]
-                scode[arow + b] = c
-                sbw[arow + b] = vbw[p]
-                counts[c] += 1
-        induced = LinkCensus(counts[0], counts[1], counts[2])
-        for perm, pairs in zip(orbits, orbit_flat):
-            mc = [0, 0, 0]
-            agg = 0.0
-            for q in pairs:
-                mc[scode[q]] += 1
-                agg += sbw[q]
-            yield ScoredMatch(
-                subset=subset,
-                mapping=tuple(subset[perm[i]] for i in range(k)),
-                census=induced,
-                match_census=LinkCensus(mc[0], mc[1], mc[2]),
-                agg_bw=agg,
-            )
-
-
-def best_scored_match(
-    pattern: ApplicationGraph,
-    hardware: HardwareGraph,
-    available: FrozenSet[int] | Sequence[int],
-    key,
-) -> Optional[ScoredMatch]:
-    """The match maximising ``key(scored_match)``.
-
-    Ties break towards the lexicographically smallest (subset, mapping),
-    so policies are fully deterministic.
-    """
-    best: Optional[ScoredMatch] = None
-    best_key = None
-    for sm in scan_scored_matches(pattern, hardware, available):
-        k = (key(sm), tuple(-g for g in sm.subset), tuple(-g for g in sm.mapping))
-        if best is None or k > best_key:
-            best = sm
-            best_key = k
-    return best
-
-
 # ---------------------------------------------------------------------- #
-# the batch engine: per-wiring match tables and their restrictions
+# per-wiring match tables and their restrictions
 # ---------------------------------------------------------------------- #
 @lru_cache(maxsize=256)
 def _orbit_incidence(pattern: ApplicationGraph) -> np.ndarray:
@@ -404,11 +318,10 @@ class BatchScan:
     A :class:`BatchScan` is ``(table, kept rows, free mask)``: the
     :class:`MatchTable` rows whose subsets lie inside the free set.
     Restricted subset ``s`` is table row ``kept[s]``, and match
-    ``(s, o)`` corresponds to the scalar engine's ``s * num_orbits +
-    o``-th yielded :class:`ScoredMatch`.  The array attributes below are
-    computed on first access, equal (order, dtype, values) to a dense
-    build over the free GPUs; the selectors never touch them and read
-    the table's rows instead.
+    ``(s, o)`` is the ``s * num_orbits + o``-th match in candidate
+    order.  The array attributes below are computed on first access,
+    equal (order, dtype, values) to a dense build over the free GPUs;
+    the selectors never touch them and read the table's rows instead.
 
     Attributes
     ----------
@@ -552,9 +465,10 @@ class BatchScan:
         memo cache keeps working across events) and the results are
         broadcast back over the subsets via
         :func:`repro.scoring.batch.map_unique_censuses` — batch values
-        are therefore bit-identical to scalar calls.  With a ``token``
-        identifying ``predict`` the whole table's scores are memoized
-        under it and a later scan of the table only filters them.
+        are therefore bit-identical to one ``predict`` call per match.
+        With a ``token`` identifying ``predict`` the whole table's
+        scores are memoized under it and a later scan of the table only
+        filters them.
         """
         if token is None:
             return _predict_rows(self.induced_census, predict)
@@ -578,9 +492,9 @@ def batch_scan(
     """Score every match of ``pattern`` on the free GPUs in one shot.
 
     Builds a :class:`MatchTable` over the free GPUs and keeps all of its
-    rows — the uncached engine and the cached engine's tables share this
-    one builder.  Returns ``None`` when the pattern cannot fit the
-    available GPUs.
+    rows — :class:`UncachedScan` and :class:`CachedScan`'s server-wide
+    tables share this one builder.  Returns ``None`` when the pattern
+    cannot fit the available GPUs.
     """
     verts = tuple(sorted(set(available)))
     if pattern.num_gpus > len(verts):
@@ -590,13 +504,36 @@ def batch_scan(
 
 
 # ---------------------------------------------------------------------- #
-# the cached engine
+# the scan sources a scanning policy decides through
 # ---------------------------------------------------------------------- #
+#: The ``engine=`` names of the scan sources.
+SCAN_ENGINES = ("cached", "batch")
+
+
+class UncachedScan:
+    """The ``engine="batch"`` scan source: a fresh scan on every call."""
+
+    cache = None
+
+    def decide(
+        self,
+        pattern: ApplicationGraph,
+        hardware: HardwareGraph,
+        available: FrozenSet[int] | Sequence[int],
+        free_mask: Optional[int],
+        token: Hashable,
+        proposal: Callable[[BatchScan], object],
+    ):
+        """``proposal`` of the scan of ``available``; ``None`` if it cannot fit."""
+        scan = batch_scan(pattern, hardware, available)
+        return None if scan is None else proposal(scan)
+
+
 class CachedScan:
     """Content-addressed front-end over per-wiring match tables.
 
-    The scanning policies (Greedy, Preserve, Oracle) consume this under
-    ``engine="cached"``: :meth:`entry` resolves the request's
+    The ``engine="cached"`` scan source of the scanning policies
+    (Greedy, Preserve, Oracle): :meth:`entry` resolves the request's
     ``(topology_hash, pattern_id, free_set_bitmask)`` key against a
     :class:`~repro.scoring.memo.ScanCache`, restricting the
     (wiring, pattern)'s :class:`MatchTable` only on a miss, and the
@@ -680,13 +617,28 @@ class CachedScan:
             )
         return entry
 
+    def decide(
+        self,
+        pattern: ApplicationGraph,
+        hardware: HardwareGraph,
+        available: FrozenSet[int] | Sequence[int],
+        free_mask: Optional[int],
+        token: Hashable,
+        proposal: Callable[[BatchScan], object],
+    ):
+        """The winner ``proposal`` selects from the request's scan,
+        memoized on its cache entry under ``token``; ``None`` if the
+        pattern cannot fit."""
+        entry = self.entry(pattern, hardware, available, free_mask)
+        return None if entry is None else entry.winner(token, proposal)
+
 
 def best_match_by_agg(scan: BatchScan) -> ScoredMatch:
-    """The match maximising AggBW (Greedy's objective), batch engine.
+    """The match maximising AggBW (Greedy's objective).
 
-    The first maximum in subset-major, orbit-minor order — the scalar
-    engine's tie-break towards the lexicographically smallest (subset,
-    mapping) — lies in the first kept row whose best AggBW is maximal,
+    The first maximum in subset-major, orbit-minor order — the
+    tie-break towards the lexicographically smallest (subset, mapping)
+    — lies in the first kept row whose best AggBW is maximal,
     at that row's first best orbit.
     """
     table = scan.table
@@ -698,13 +650,11 @@ def best_match_by_agg(scan: BatchScan) -> ScoredMatch:
 def best_match_by_subset_score(
     scan: BatchScan, subset_scores: np.ndarray
 ) -> ScoredMatch:
-    """Maximise a subset-level score, then AggBW, batch engine.
+    """Maximise a subset-level score, then AggBW.
 
-    The batch counterpart of :func:`best_subset_then_mapping`: among
-    the subsets attaining the maximal ``subset_scores`` value, pick the
-    match with the highest AggBW, ties towards the earliest candidate.
-    Bit-identical scores make the grouping agree with the scalar
-    engine's tuple comparisons.
+    Among the subsets attaining the maximal ``subset_scores`` value,
+    pick the match with the highest AggBW, ties towards the earliest
+    candidate.
     """
     table = scan.table
     cand = scan.kept[subset_scores == subset_scores.max()]
@@ -713,9 +663,9 @@ def best_match_by_subset_score(
 
 
 def best_match_by_preserved(scan: BatchScan) -> Tuple[ScoredMatch, float]:
-    """The Eq. 3 selection of the insensitive branch, batch engine.
+    """The Eq. 3 selection of the insensitive branch.
 
-    Deliberately *not* :func:`best_match_by_subset_score`: the scalar
+    Deliberately *not* :func:`best_match_by_subset_score`: Algorithm 1's
     insensitive branch picks the **first** subset attaining the maximal
     PreservedBW and only then tie-breaks mappings by AggBW *within that
     subset* — AggBW never arbitrates between equally-preserving
@@ -735,34 +685,3 @@ def best_match_by_preserved(scan: BatchScan) -> Tuple[ScoredMatch, float]:
         table.scored_match(row, int(table.agg_best[row])),
         float(preserved[s]),
     )
-
-
-# ---------------------------------------------------------------------- #
-# scalar subset-level selector (reference oracle, like best_scored_match)
-# ---------------------------------------------------------------------- #
-def best_subset_then_mapping(
-    pattern: ApplicationGraph,
-    hardware: HardwareGraph,
-    available: FrozenSet[int] | Sequence[int],
-    subset_key,
-) -> Optional[ScoredMatch]:
-    """Maximise a *subset-level* score, then pick the best mapping on the
-    winning subset by AggBW.
-
-    Subset-level scores (induced-census EffBW, PreservedBW) are identical
-    for every mapping on a subset; aligning the pattern's edges with the
-    fastest links (max AggBW) is the natural deterministic tiebreak.
-    """
-    best: Optional[ScoredMatch] = None
-    best_key = None
-    for sm in scan_scored_matches(pattern, hardware, available):
-        k = (
-            subset_key(sm),
-            sm.agg_bw,
-            tuple(-g for g in sm.subset),
-            tuple(-g for g in sm.mapping),
-        )
-        if best is None or k > best_key:
-            best = sm
-            best_key = k
-    return best

@@ -10,8 +10,10 @@ scores **all matches of a pattern in one shot** from dense numpy
 arrays, using the topology's precomputed
 :class:`~repro.topology.linktable.LinkTable` as the lookup backend.
 
-The batch results are *bit-identical* to the scalar path, which is what
-lets the policies switch engines without perturbing a single benchmark
+The batch results are *bit-identical* to scoring one match at a time
+with those per-match functions (the walk the differential tests keep
+as their oracle in ``tests/reference/scan.py``), which is what lets the
+policies score through tables without perturbing a single benchmark
 table:
 
 * link bandwidths (paper Table 1) are integer-valued floats, so sums of
@@ -67,7 +69,8 @@ def pair_slots(k: int) -> Tuple[np.ndarray, np.ndarray]:
     tuple of numpy.ndarray
         Arrays ``(a, b)`` of length ``k·(k-1)/2`` with ``a[i] < b[i]``,
         enumerating slot pairs in the same ``a``-major order as the
-        scalar scan's nested ``for a: for b in range(a+1, k)`` loops.
+        nested ``for a: for b in range(a+1, k)`` loops of the reference
+        scan in ``tests/reference/scan.py``.
     """
     a_idx, b_idx = np.triu_indices(k, 1)
     a_idx.flags.writeable = False

@@ -63,6 +63,10 @@ __all__ = [
     "start_daemon_thread",
 ]
 
+#: Seconds a stopping daemon lets a closed connection flush its last
+#: replies before aborting it.
+_CLOSE_GRACE_S = 1.0
+
 
 # ---------------------------------------------------------------------- #
 # configuration + metrics
@@ -383,7 +387,10 @@ class AllocationDaemon:
         self._drain_lock: Optional[asyncio.Lock] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._dispatcher: Optional[asyncio.Task] = None
-        self._conn_tasks: set = set()
+        # Live connection handlers -> their stream writers, and the
+        # tasks holding deferred replies.
+        self._connections: Dict[asyncio.Task, Any] = {}
+        self._replies: set = set()
         self._work: Optional[asyncio.Event] = None
         self._shutdown: Optional[asyncio.Event] = None
 
@@ -442,13 +449,25 @@ class AllocationDaemon:
     async def _stop(self) -> None:
         if self._server is not None:
             self._server.close()
-        # Connection handlers and pending replies: cancel, then await,
-        # so none is left pending when the loop closes.
-        current = asyncio.current_task()
-        tasks = [task for task in self._conn_tasks if task is not current]
-        for task in tasks:
+        # Close every live connection so its handler reads EOF and
+        # returns: a cancelled handler makes asyncio's stream callback
+        # log a CancelledError traceback.  close() flushes first, so a
+        # peer that stopped reading has its transport aborted after a
+        # grace period.  Deferred replies can wait forever, so cancel
+        # those.  Await everything, so nothing is left pending when the
+        # loop closes.
+        for writer in self._connections.values():
+            writer.close()
+        for task in self._replies:
             task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
+        await asyncio.gather(*self._replies, return_exceptions=True)
+        if self._connections:
+            _, stuck = await asyncio.wait(
+                list(self._connections), timeout=_CLOSE_GRACE_S
+            )
+            for task in stuck:
+                self._connections[task].transport.abort()
+            await asyncio.gather(*stuck, return_exceptions=True)
         if self._server is not None:
             await self._server.wait_closed()
             self._server = None
@@ -467,8 +486,7 @@ class AllocationDaemon:
     async def _handle_conn(self, reader, writer) -> None:
         self.metrics.connections += 1
         task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        task.add_done_callback(self._conn_tasks.discard)
+        self._connections[task] = writer
         lock = asyncio.Lock()
 
         async def send(payload: Dict[str, Any]) -> None:
@@ -485,7 +503,8 @@ class AllocationDaemon:
                     line = await reader.readline()
                 except (ConnectionError, asyncio.LimitOverrunError, ValueError):
                     break
-                if not line:
+                # Closed by _stop: lines still buffered go unanswered.
+                if not line or writer.is_closing():
                     break
                 if not line.strip():
                     continue
@@ -498,6 +517,7 @@ class AllocationDaemon:
                     continue
                 await self._handle_request(payload, send)
         finally:
+            del self._connections[task]
             try:
                 writer.close()
             except Exception:
@@ -534,8 +554,8 @@ class AllocationDaemon:
             future = asyncio.get_running_loop().create_future()
             self._enqueue(op, payload, future)
             task = asyncio.ensure_future(self._reply_later(future, send, tag))
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
+            self._replies.add(task)
+            task.add_done_callback(self._replies.discard)
 
     async def _reply_later(self, future, send, tag) -> None:
         try:
@@ -568,7 +588,19 @@ class AllocationDaemon:
         if self._draining:
             self.metrics.reject(protocol.REJECT_DRAINING)
             return {"status": "rejected", "reason": protocol.REJECT_DRAINING}
+        # Size first: no server can hold more than the largest one, and
+        # building the pattern for an oversized request could stall the
+        # loop (all-to-all over thousands of slots) and fill the memo.
         try:
+            job_id, gpus = protocol.submit_size(payload)
+            if gpus > self.backend.max_capacity:
+                self.metrics.reject(protocol.REJECT_INFEASIBLE)
+                return {
+                    "status": "rejected",
+                    "reason": protocol.REJECT_INFEASIBLE,
+                    "job": job_id,
+                    "max_gpus": self.backend.max_capacity,
+                }
             spec = SubmitSpec.from_payload(payload)
         except ProtocolError as exc:
             self.metrics.errors += 1
@@ -579,14 +611,6 @@ class AllocationDaemon:
                 "status": "rejected",
                 "reason": protocol.REJECT_DUPLICATE,
                 "job": spec.job_id,
-            }
-        if spec.num_gpus > self.backend.max_capacity:
-            self.metrics.reject(protocol.REJECT_INFEASIBLE)
-            return {
-                "status": "rejected",
-                "reason": protocol.REJECT_INFEASIBLE,
-                "job": spec.job_id,
-                "max_gpus": self.backend.max_capacity,
             }
         usage = self._usage(spec.tenant)
         quota_jobs = self.config.quota_requests

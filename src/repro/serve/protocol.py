@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Mapping, Optional
+from typing import Any, Dict, Hashable, Mapping, Optional, Tuple
 
 from ..appgraph import patterns
 from ..appgraph.application import ApplicationGraph
@@ -90,11 +90,14 @@ def decode_line(line: bytes) -> Dict[str, Any]:
 
     Raises :class:`ProtocolError` on anything that is not a single
     JSON object — the daemon answers those with ``status: error``
-    instead of dropping the connection.
+    instead of dropping the connection.  That includes lines the JSON
+    parser itself refuses to finish: nesting too deep to recurse into
+    (``RecursionError``) and integers past Python's digit limit (a
+    plain ``ValueError``).
     """
     try:
         payload = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ProtocolError(f"not a JSON line: {exc}") from None
     if not isinstance(payload, dict):
         raise ProtocolError("request must be a JSON object")
@@ -110,6 +113,20 @@ def _require_job_id(payload: Mapping[str, Any]) -> Hashable:
     if job_id is None or isinstance(job_id, (dict, list, bool)):
         raise ProtocolError("'job' must be a string or integer id")
     return job_id
+
+
+def submit_size(payload: Mapping[str, Any]) -> Tuple[Hashable, int]:
+    """The validated ``job`` and ``gpus`` fields of a submit.
+
+    Cheap on purpose: the daemon checks the size against its largest
+    server with these before :meth:`SubmitSpec.from_payload` builds a
+    pattern, whose cost grows with ``gpus`` (all-to-all is quadratic).
+    """
+    job_id = _require_job_id(payload)
+    gpus = payload.get("gpus", 1)
+    if not isinstance(gpus, int) or isinstance(gpus, bool) or gpus < 1:
+        raise ProtocolError("'gpus' must be a positive integer")
+    return job_id, gpus
 
 
 @dataclass(frozen=True)
@@ -132,10 +149,7 @@ class SubmitSpec:
         (and the sharded backend's worker processes) must never see a
         pattern or workload name that cannot resolve.
         """
-        job_id = _require_job_id(payload)
-        gpus = payload.get("gpus", 1)
-        if not isinstance(gpus, int) or isinstance(gpus, bool) or gpus < 1:
-            raise ProtocolError("'gpus' must be a positive integer")
+        job_id, gpus = submit_size(payload)
         pattern = payload.get("pattern", "ring")
         if not isinstance(pattern, str):
             raise ProtocolError("'pattern' must be a string")
@@ -144,9 +158,11 @@ class SubmitSpec:
         except (KeyError, ValueError) as exc:
             raise ProtocolError(str(exc)) from None
         workload = payload.get("workload", DEFAULT_WORKLOAD)
+        if not isinstance(workload, str):
+            raise ProtocolError("'workload' must be a string")
         try:
             get_workload(workload)
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise ProtocolError(f"unknown workload: {exc}") from None
         tenant = payload.get("tenant", DEFAULT_TENANT)
         if not isinstance(tenant, str) or not tenant:

@@ -15,7 +15,8 @@ the same replay without any of them:
   :class:`~reference.easy_backfill.ReferenceEasyBackfill` body;
 * :class:`ReferenceMapa` — scores every committed allocation from
   scratch;
-* :class:`ReferenceScheduler` — places by the plain candidate walk;
+* :class:`ReferenceScheduler` — places by the plain candidate walk,
+  optionally with the scalar scan policies (``engine="scalar"``);
 * :class:`ReferenceCore` — runs on the heap engine, re-probes the
   backend on every attempt, measures bandwidth and execution time
   afresh, and computes shadow times from a fresh sort.
@@ -33,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple
 
 from reference.easy_backfill import ReferenceEasyBackfill, reference_earliest_fit_time
+from reference.scan import scalar_policy
 from repro.allocator.mapa import Mapa
 from repro.cluster import run_cluster
 from repro.cluster.scheduler import ClusterPlacement, MultiServerScheduler
@@ -220,13 +222,18 @@ class ReferenceScheduler(MultiServerScheduler):
 
     No first-fit fast path and no decision memo: every placement walks
     the node policy's candidate order and runs MAPA on each server
-    until one commits.  Engines are :class:`ReferenceMapa`.
+    until one commits.  Engines are :class:`ReferenceMapa`.  With
+    ``engine="scalar"`` their policies run the one-match-at-a-time walk
+    of :mod:`reference.scan` instead of a scan source.
     """
 
     def _make_engine(self, hardware: HardwareGraph) -> Mapa:
         """A from-scratch-scoring engine on the fleet's scan cache."""
-        engine = super()._make_engine(hardware)
-        return ReferenceMapa(hardware, engine.policy, self.model)
+        if self._engine_kind == "scalar":
+            policy = scalar_policy(self._gpu_policy, self.model)
+        else:
+            policy = super()._make_engine(hardware).policy
+        return ReferenceMapa(hardware, policy, self.model)
 
     def try_place(self, request: AllocationRequest) -> Optional[ClusterPlacement]:
         """Place a job on the first candidate server that takes it."""

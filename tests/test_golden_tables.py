@@ -42,12 +42,10 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 #: Result files that embed wall-clock timings; they can never be golden.
 TIMING_TABLES = {
-    "batch_scoring.txt",
     "fig19_overhead.txt",
     "fleet_scale.txt",
     "fleet_shard.txt",
     "scan_cache.txt",
-    "scan_hotpath.txt",
     "serve.txt",
 }
 

@@ -82,7 +82,7 @@ class TestGreedy:
 
     def test_no_better_match_exists(self, dgx):
         alloc = GreedyPolicy().allocate(_req(3), dgx, _free(dgx))
-        from repro.policies.scan import scan_scored_matches
+        from reference.scan import scan_scored_matches
 
         best = max(
             sm.agg_bw

@@ -1,13 +1,14 @@
-"""Batch-engine policies must make *identical* decisions to scalar ones.
+"""Scanning policies must make *identical* decisions to the scalar walk.
 
-End-to-end churn: random allocate/release sequences driven through two
-copies of each scanning policy — one per engine — asserting every
-proposed allocation (GPUs, mapping, full score dict) is equal, exactly.
+End-to-end churn: random allocate/release sequences driven through a
+scanning policy and its one-match-at-a-time twin from
+``tests/reference/scan.py``, asserting every proposed allocation (GPUs,
+mapping, full score dict) is equal, exactly.
 
-The cached engine answers scans by restricting a server-wide match
+The cached scan source answers scans by restricting a server-wide match
 table to the free set; on every built-in wiring, a restriction must
 equal a dense build over the free GPUs attribute by attribute, and the
-winners all three engines select must be the same.
+winners both scan sources and the scalar walk select must be the same.
 """
 
 import random
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reference.scan import ScalarGreedy, ScalarOracle, ScalarPreserve
 from repro.allocator.mapa import Mapa
 from repro.appgraph import patterns
 from repro.policies.base import AllocationRequest
@@ -24,7 +26,7 @@ from repro.policies.greedy import GreedyPolicy
 from repro.policies.oracle import OraclePolicy
 from repro.policies.preserve import PreservePolicy
 from repro.policies.registry import make_policy
-from repro.policies.scan import CachedScan, batch_scan
+from repro.policies.scan import SCAN_ENGINES, CachedScan, batch_scan
 from repro.scoring.effective import PAPER_MODEL
 from repro.scoring.memo import ScanCache
 from repro.scoring.regression import fit_for_hardware
@@ -58,7 +60,7 @@ def _assert_allocations_equal(a, b, context):
 
 
 def _churn(policy_batch, policy_scalar, hardware, seed, events=60):
-    """Drive both engines through the same random allocate/release churn."""
+    """Drive both policies through the same random allocate/release churn."""
     rng = random.Random(seed)
     batch_mapa = Mapa(hardware, policy_batch)
     scalar_mapa = Mapa(hardware, policy_scalar)
@@ -89,7 +91,7 @@ def _churn(policy_batch, policy_scalar, hardware, seed, events=60):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_greedy_engines_identical_under_churn(seed):
-    _churn(GreedyPolicy(engine="batch"), GreedyPolicy(engine="scalar"),
+    _churn(GreedyPolicy(engine="batch"), ScalarGreedy(),
            dgx1_v100(), seed)
 
 
@@ -98,7 +100,7 @@ def test_preserve_engines_identical_under_churn(seed):
     model, _, _ = fit_for_hardware(dgx1_v100())
     _churn(
         PreservePolicy(model, engine="batch"),
-        PreservePolicy(model, engine="scalar"),
+        ScalarPreserve(model),
         dgx1_v100(),
         seed,
     )
@@ -107,7 +109,7 @@ def test_preserve_engines_identical_under_churn(seed):
 def test_preserve_engines_identical_on_summit():
     _churn(
         PreservePolicy(engine="batch"),
-        PreservePolicy(engine="scalar"),
+        ScalarPreserve(),
         summit_node(),
         seed=7,
     )
@@ -116,7 +118,7 @@ def test_preserve_engines_identical_on_summit():
 def test_oracle_engines_identical_under_churn():
     _churn(
         OraclePolicy(engine="batch"),
-        OraclePolicy(engine="scalar"),
+        ScalarOracle(),
         dgx1_v100(),
         seed=3,
         events=25,  # the microbenchmark makes oracle scans expensive
@@ -200,7 +202,12 @@ def test_cached_and_batch_winners_equal_scalar_on_random_free_sets(wiring):
             "preserve": PreservePolicy(engine=engine, cache=shared),
             "oracle": OraclePolicy(engine=engine, cache=shared),
         }
-        for engine in ("cached", "batch", "scalar")
+        for engine in SCAN_ENGINES
+    }
+    engines["scalar"] = {
+        "greedy": ScalarGreedy(),
+        "preserve": ScalarPreserve(),
+        "oracle": ScalarOracle(),
     }
     for trial in range(10):
         # Scalar scans stay small: at most 10 free GPUs, 8 for the
@@ -227,14 +234,14 @@ def test_idle_dgx2_five_gpu_chain():
     pattern = patterns.chain(5)
     idle = frozenset(hardware.gpus)
     _assert_restriction_equals_dense(pattern, hardware, hardware.gpus)
-    for cls, sensitive in (
-        (GreedyPolicy, True),
-        (PreservePolicy, True),
-        (PreservePolicy, False),
+    for cls, scalar, sensitive in (
+        (GreedyPolicy, ScalarGreedy, True),
+        (PreservePolicy, ScalarPreserve, True),
+        (PreservePolicy, ScalarPreserve, False),
     ):
         request = AllocationRequest(pattern, sensitive)
-        want = cls(engine="scalar").allocate(request, hardware, idle)
-        for engine in ("cached", "batch"):
+        want = scalar().allocate(request, hardware, idle)
+        for engine in SCAN_ENGINES:
             got = cls(engine=engine).allocate(request, hardware, idle)
             _assert_allocations_equal(
                 got, want, f"{cls.name} sensitive={sensitive} {engine}"
@@ -242,13 +249,13 @@ def test_idle_dgx2_five_gpu_chain():
 
 
 def test_registry_passes_engine_through():
-    assert make_policy("greedy", engine="scalar").engine == "scalar"
+    assert make_policy("greedy", engine="batch").engine == "batch"
     assert make_policy("preserve").engine == "cached"
     assert make_policy("preserve", engine="batch").engine == "batch"
     assert make_policy("oracle", engine="batch").engine == "batch"
     # non-scanning policies ignore the engine argument
-    make_policy("baseline", engine="scalar")
-    make_policy("topo-aware", engine="scalar")
+    make_policy("baseline", engine="batch")
+    make_policy("topo-aware", engine="batch")
 
 
 def test_registry_passes_shared_cache_through():
@@ -268,7 +275,31 @@ def test_registry_passes_shared_cache_through():
 )
 def test_unknown_engine_rejected(cls):
     with pytest.raises(ValueError):
-        if cls is PreservePolicy:
-            cls(engine="simd")
-        else:
-            cls(engine="simd")
+        cls(engine="simd")
+
+
+def test_scalar_engine_is_gone(capsys):
+    """The scalar walk lives in tests/reference/: every door to it
+    from the library and the CLI is shut."""
+    import repro.policies
+    from repro.cli import main
+    from repro.cluster import run_cluster
+    from repro.workloads.generator import generate_job_file
+
+    assert SCAN_ENGINES == ("cached", "batch")
+    walk = ("scan_scored_matches", "best_scored_match", "best_subset_then_mapping")
+    for name in walk:
+        assert not hasattr(repro.policies, name)
+        assert not hasattr(repro.policies.scan, name)
+    for cls in (GreedyPolicy, PreservePolicy, OraclePolicy):
+        with pytest.raises(ValueError, match="scalar"):
+            cls(engine="scalar")
+    with pytest.raises(ValueError, match="scalar"):
+        make_policy("greedy", engine="scalar")
+    trace = generate_job_file(num_jobs=3, max_gpus=4, seed=0)
+    with pytest.raises(ValueError, match="scalar"):
+        run_cluster([dgx1_v100()], trace, engine="scalar")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fleet", "--engine", "scalar"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'scalar'" in capsys.readouterr().err

@@ -1,14 +1,15 @@
-"""Unit tests for the scored match scan shared by Greedy and Preserve."""
+"""Unit tests for the reference scan walk the scanning policies are
+checked against (``tests/reference/scan.py``)."""
 
 import pytest
 
-from repro.appgraph import patterns
-from repro.matching.candidates import enumerate_matches, orbit_permutations
-from repro.policies.scan import (
+from reference.scan import (
     best_scored_match,
     best_subset_then_mapping,
     scan_scored_matches,
 )
+from repro.appgraph import patterns
+from repro.matching.candidates import enumerate_matches, orbit_permutations
 from repro.scoring.aggregate import aggregated_bandwidth_of_edges
 from repro.scoring.census import census_of_allocation, census_of_edges
 

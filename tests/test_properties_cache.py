@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference.scan import ScalarGreedy
 from repro.allocator.state import AllocationState
 from repro.appgraph import patterns
 from repro.cluster import MultiServerScheduler
@@ -181,7 +182,7 @@ class TestMatchTables:
         assert _tables(warmed) == []
         # A novel token restricts this cache's (fresh) table.
         got = GreedyPolicy(cache=warmed).allocate(request, hw, free)
-        want = GreedyPolicy(engine="scalar").allocate(request, hw, free)
+        want = ScalarGreedy().allocate(request, hw, free)
         assert (got.gpus, got.match, dict(got.scores)) == (
             want.gpus, want.match, dict(want.scores)
         )

@@ -6,8 +6,8 @@ Four invariants pin the chaos axis:
   exactly consistent (``check_index`` passes, ``resync_index`` is a
   no-op) through arbitrary interleavings of placements, releases,
   failures, repairs, drains and autoscale growth;
-* a chaos replay is bit-identical across the ``cached`` / ``batch`` /
-  ``scalar`` scan engines;
+* a chaos replay is bit-identical across the ``cached`` and ``batch``
+  scan sources and the reference replay on the scalar scan walk;
 * under every built-in discipline, the simulation core produces the
   same log as the memo-free reference replay with skip-free discipline
   bodies (``tests/reference/replay.py``) under chaos;
@@ -26,7 +26,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference.replay import assert_identical_replay
+from reference.replay import assert_identical_replay, reference_replay
 from repro.cluster import (
     MultiServerScheduler,
     ShardedFleetScheduler,
@@ -182,14 +182,13 @@ class TestEngineIdentityUnderChaos:
         reference = _digest(
             run_cluster(servers, trace, engine="cached", dynamics=dynamics).log
         )
-        for engine in ("batch", "scalar"):
+        batch = run_cluster(servers, trace, engine="batch", dynamics=dynamics)
+        scalar = reference_replay(
+            servers, trace, engine="scalar", dynamics=dynamics
+        )
+        for engine, log in (("batch", batch.log), ("scalar", scalar)):
             assert (
-                _digest(
-                    run_cluster(
-                        servers, trace, engine=engine, dynamics=dynamics
-                    ).log
-                )
-                == reference
+                _digest(log) == reference
             ), f"engine={engine} diverged under {dynamics.describe()}"
 
 

@@ -2,8 +2,9 @@
 
 Property tests over random patterns × topologies × free sets compare
 every array the engine produces against the scalar reference
-implementations (``scan_scored_matches``, ``census_of_edges``,
-``remaining_bandwidth``, ``EffectiveBandwidthModel.predict``) with
+implementations (``scan_scored_matches`` from ``tests/reference/scan.py``,
+``census_of_edges``, ``remaining_bandwidth``,
+``EffectiveBandwidthModel.predict``) with
 **exact** equality — no tolerances.  This is the guarantee that lets
 the policies run the vectorized engine while every benchmark table
 stays byte-identical.
@@ -16,8 +17,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reference.scan import scan_scored_matches
 from repro.appgraph import patterns
-from repro.policies.scan import batch_scan, scan_scored_matches
+from repro.policies.scan import batch_scan
 from repro.scoring import batch as batch_scoring
 from repro.scoring.census import census_of_edges
 from repro.scoring.effective import PAPER_MODEL

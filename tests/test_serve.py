@@ -162,6 +162,47 @@ class TestBasicOps:
             assert client.submit("probe", 4)["status"] == "allocated"
 
 
+class TestShutdown:
+    def test_stop_with_a_connected_client_logs_nothing(self, serve, caplog):
+        """Stopping closes live connections so their handlers return:
+        asyncio has no cancelled handler to report."""
+        socket_path, handle = serve()
+        with AllocationClient(socket_path=socket_path) as client:
+            assert client.ping()["status"] == "ok"
+            with caplog.at_level("DEBUG", logger="asyncio"):
+                handle.stop(timeout=30)
+            with pytest.raises(ConnectionError):
+                client.recv()
+        asyncio_records = [r for r in caplog.records if r.name == "asyncio"]
+        assert not asyncio_records, [r.getMessage() for r in asyncio_records]
+
+    def test_stop_aborts_a_peer_that_stopped_reading(self, serve):
+        """A client that floods requests and never reads the replies
+        leaves its handler blocked on a full send buffer; stopping must
+        not wait on it forever."""
+        import socket
+
+        socket_path, handle = serve()
+        peer = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        peer.connect(socket_path)
+        peer.settimeout(0.2)
+        burst = encode_line({"op": "ping"}) * 1000
+        try:
+            deadline = time.monotonic() + 20
+            while time.monotonic() < deadline:
+                try:
+                    peer.sendall(burst)
+                except socket.timeout:
+                    break  # the daemon stopped reading: its replies are stuck
+            else:
+                pytest.fail("the daemon kept reading a peer that never reads")
+            start = time.monotonic()
+            handle.stop(timeout=20)
+            assert time.monotonic() - start < 10
+        finally:
+            peer.close()
+
+
 class TestAdmission:
     def test_duplicate_job_rejected(self, serve):
         socket_path, _ = serve()
@@ -170,6 +211,32 @@ class TestAdmission:
             response = client.submit("dup", 2)
             assert response["status"] == "rejected"
             assert response["reason"] == "duplicate-job"
+
+    def test_oversized_submit_rejected_before_any_pattern_is_built(
+        self, serve, monkeypatch
+    ):
+        """A submit wider than every server is refused on its size alone:
+        no pattern is built for it, even when its name is also bad."""
+        from repro.appgraph.application import ApplicationGraph
+
+        built = []
+        original = ApplicationGraph.__init__
+
+        def spy(self, name, num_gpus, edges):
+            built.append(num_gpus)
+            if num_gpus > 8:  # never pay for the graph itself
+                raise ValueError("spy: oversized pattern built")
+            original(self, name, num_gpus, edges)
+
+        monkeypatch.setattr(ApplicationGraph, "__init__", spy)
+        socket_path, _ = serve(fleet="dgx1-v100:2")  # 8-GPU servers
+        with AllocationClient(socket_path=socket_path) as client:
+            for pattern in ("alltoall", "no-such-pattern"):
+                response = client.submit(f"huge-{pattern}", 5000, pattern=pattern)
+                assert response["status"] == "rejected"
+                assert response["reason"] == "infeasible"
+                assert response["max_gpus"] == 8
+        assert all(width <= 8 for width in built), built
 
     def test_infeasible_request_rejected_not_queued(self, serve):
         socket_path, _ = serve(fleet="dgx1-v100:2")  # 8-GPU servers

