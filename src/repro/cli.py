@@ -23,8 +23,8 @@ Subcommands
     sweep it through the cached experiment grid exactly like a paper
     trace.
 ``cache``
-    Inspect or clear the on-disk caches (sweep results and the spilled
-    scan-tier partitions: entry counts, bytes, orphaned debris), or
+    Inspect or clear the on-disk cache (sweep cells and spilled scan
+    partitions: file counts, bytes, orphaned debris), or
     exercise the persistent scan tier — ``spill`` populates it from a
     cold replay, ``warm`` warm-starts a replay from it and reports the
     first-pass hit rate.  In-memory scan-cache hit/miss statistics are
@@ -611,16 +611,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                 "sweep entry bytes",
                 f"{stats.total_bytes} ({stats.total_mib:.2f} MiB)",
             ],
-            ["json entries", str(stats.json_entries)],
-            [
-                "json entry bytes",
-                f"{stats.json_bytes} ({stats.json_mib:.2f} MiB)",
-            ],
-            ["mlog payloads", str(stats.mlog_entries)],
-            [
-                "mlog payload bytes",
-                f"{stats.mlog_bytes} ({stats.mlog_mib:.2f} MiB)",
-            ],
             ["scan partitions", str(stats.scan_entries)],
             [
                 "scan partition bytes",
@@ -630,9 +620,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             ["orphaned bytes", str(stats.orphan_bytes)],
         ]
         if stats.scan_entries:
-            from .experiments.spill import ScanSpillStore
-
-            valid, corrupt = ScanSpillStore(root=store.root).verify()
+            valid, corrupt = store.content.verify("scan")
             rows.append(
                 ["scan partition audit", f"{valid} valid, {corrupt} corrupt"]
             )
@@ -649,7 +637,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         )
         return 0
     guard = {} if args.tmp_age is None else {"tmp_age": args.tmp_age}
-    removed, freed = store.clear(orphans_only=args.orphans, **guard)
+    removed, freed = store.content.clear(orphans=args.orphans, **guard)
     what = "orphaned file(s)" if args.orphans else "file(s)"
     print(f"removed {removed} {what} ({freed} bytes) from {store.root}")
     return 0
@@ -1211,9 +1199,11 @@ def build_parser() -> argparse.ArgumentParser:
         "cache",
         help="inspect, exercise or clear the on-disk caches",
         description=(
-            "Maintain the content-addressed caches on disk: `stats` "
-            "reports entry counts, bytes and orphaned debris for both "
-            "tiers (sweep results and spilled scan partitions); `clear` "
+            "Maintain the content-addressed cache on disk: `stats` "
+            "reports file counts and bytes for both namespaces (sweep "
+            "cells under cells/, spilled scan partitions under scan/) "
+            "and orphaned debris (temp files, files of older layouts); "
+            "`clear` "
             "deletes cached files (everything, or just the orphans with "
             "--orphans); `spill` replays a deterministic scenario cold "
             "and writes its scan winners into the persistent scan tier; "

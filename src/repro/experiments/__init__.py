@@ -9,9 +9,11 @@ infrastructure:
   CellConfig`\\ s with stable content hashes;
 * :class:`~repro.experiments.runner.SweepRunner` — shards cache-miss
   cells across a process pool and reuses everything else;
-* :class:`~repro.experiments.store.ResultStore` — content-addressed
-  ``.mlog`` cache of per-cell simulation logs (atomic writes, safe
-  under parallel workers);
+* :class:`~repro.experiments.store.ContentStore` — the one on-disk
+  content-addressed cache (CRC'd frames, atomic writes); its clients
+  are :class:`~repro.experiments.store.ResultStore` (per-cell
+  ``.mlog`` logs) and :class:`~repro.experiments.spill.ScanSpillStore`
+  (spilled scan winners);
 * :mod:`~repro.experiments.presets` — the paper's canonical trace and
   grid constants, consumed by benchmarks and tests.
 
@@ -53,7 +55,13 @@ from .spec import (
     TraceSpec,
     parse_grid,
 )
-from .store import CellResult, ResultStore, StoreStats, default_cache_dir
+from .store import (
+    CellResult,
+    ContentStore,
+    ResultStore,
+    StoreStats,
+    default_cache_dir,
+)
 
 __all__ = [
     "AnyTraceSpec",
@@ -61,6 +69,7 @@ __all__ = [
     "CLUSTER_NUM_JOBS",
     "CellConfig",
     "CellResult",
+    "ContentStore",
     "ExperimentSpec",
     "FRAGMENTATION_MIN_GPUS",
     "FRAGMENTATION_NUM_JOBS",

@@ -33,7 +33,7 @@ def atomic_write_bytes(path: str, data: bytes, durable: bool = True) -> str:
 
     Same temp-file + ``os.replace`` discipline and the same
     ``durable`` fsync semantics, for payloads that are already bytes
-    (the result store's ``.mlog`` tier and shared-memory spill files).
+    (every frame the content store writes).
     """
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)

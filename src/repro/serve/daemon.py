@@ -369,6 +369,7 @@ class AllocationDaemon:
         self.backend = _build_backend(self.config)
         self.metrics = ServeMetrics()
         self.metrics.warm_entries = self.backend.warm_entries
+        self._audit = self._audit_store()
         self._pending: List[_Op] = []
         self._waiting: Deque[_Op] = deque()
         self._ledger: Dict[Hashable, _Lease] = {}
@@ -852,8 +853,37 @@ class AllocationDaemon:
             return {"status": "waiting", "job": job_id}
         return {"status": "unknown", "job": job_id}
 
+    def _audit_store(self) -> Dict[str, Any]:
+        """``spill_audit`` + ``store_tiers`` of the spill root, or ``{}``.
+
+        Reads every partition, so it runs once at startup and once
+        after the drain's spill; ``stats`` requests reuse the result.
+        The spill root is the shared cache root, so the per-namespace
+        breakdown is the one ``mapa cache stats`` prints.
+        """
+        if self.config.spill_root is None:
+            return {}
+        from ..experiments.store import SCAN, ContentStore
+
+        content = ContentStore(self.config.spill_root)
+        valid, corrupt = content.verify(SCAN)
+        return {
+            "spill_audit": {
+                "valid_partitions": valid,
+                "corrupt_partitions": corrupt,
+            },
+            "store_tiers": {
+                ns: {"files": files, "bytes": nbytes}
+                for ns, files, nbytes in content.stats().tier_rows()
+            },
+        }
+
     def metrics_snapshot(self) -> Dict[str, Any]:
-        """Counters + gauges + cache/spill stats as one JSON object."""
+        """Counters + gauges + cache/spill stats as one JSON object.
+
+        ``spill_audit``/``store_tiers`` are as of the last
+        :meth:`_audit_store` (startup, or the drain's spill).
+        """
         snapshot: Dict[str, Any] = {
             "counters": self.metrics.as_dict(),
             "gauges": {
@@ -874,27 +904,7 @@ class AllocationDaemon:
             "spill": self.backend.spill_stats(),
             "config": self.config.as_dict(),
         }
-        if self.config.spill_root is not None:
-            from ..experiments.spill import ScanSpillStore
-
-            valid, corrupt = ScanSpillStore(
-                root=self.config.spill_root
-            ).verify()
-            snapshot["spill_audit"] = {
-                "valid_partitions": valid,
-                "corrupt_partitions": corrupt,
-            }
-            # Same per-tier breakdown ``mapa cache stats`` prints: the
-            # spill root is the shared cache root, so sweep entries,
-            # .mlog payloads and scan partitions all live under it.
-            from ..experiments.store import ResultStore
-
-            snapshot["store_tiers"] = {
-                tier: {"files": files, "bytes": nbytes}
-                for tier, files, nbytes in ResultStore(
-                    self.config.spill_root
-                ).disk_stats().tier_rows()
-            }
+        snapshot.update(self._audit)
         snapshot["service_log_rows"] = len(self._service_log)
         return snapshot
 
@@ -945,6 +955,7 @@ class AllocationDaemon:
         self.metrics.forced_releases = forced
         spilled = self.backend.spill()
         self.metrics.spilled_entries = spilled
+        self._audit = self._audit_store()
         snapshot = self.metrics_snapshot()
         if self.config.metrics_json:
             atomic_write_text(

@@ -16,11 +16,17 @@ running maximum maintained on append (O(1) — the analysis tables call
 it per row), ``throughput`` follows from it, ``execution_times`` and
 ``to_csv`` are vectorised, and the subset views (``by_workload`` /
 ``sensitive`` / ``multi_gpu``) filter on the typed columns.
-``to_dict`` / ``from_dict`` emit and accept byte-identical payloads to
-the historical object implementation — every value crosses back
-through native Python types (``ndarray.tolist`` round-trips float64
-bit-exactly), so the :class:`~repro.experiments.store.ResultStore` and
-the golden harness are untouched.
+``to_dict`` emits payloads byte-identical to the historical object
+implementation (``ndarray.tolist`` round-trips float64 bit-exactly), so
+log digests and the golden harness are untouched.
+
+The module also owns the on-disk container.  :func:`encode_frame` /
+:func:`decode_frame` write and check one self-describing frame — a
+preamble, a JSON header naming its ``format``, aligned blobs each with
+its CRC-32 — shared by everything the content store keeps
+(:mod:`repro.experiments.store`).  ``.mlog`` (:func:`encode_mlog` /
+:func:`decode_mlog`) is the ``mapa-mlog`` frame of one log: one blob
+per column, decoded zero-copy and lazily.
 """
 
 from __future__ import annotations
@@ -75,16 +81,16 @@ _MIN_CAPACITY = 64
 # ---------------------------------------------------------------------- #
 # binary columnar codec (the ``.mlog`` format)
 # ---------------------------------------------------------------------- #
-#: Magic bytes opening every ``.mlog`` payload.
+#: Magic bytes opening every frame.
 MLOG_MAGIC = b"MLOG"
 
-#: Payload schema version; bumped on incompatible layout changes, and
-#: checked on decode so an old reader fails with a clean error instead
-#: of misinterpreting bytes.
+#: Frame version; bumped on incompatible layout changes, and checked on
+#: decode so an old reader fails with a clean error instead of
+#: misinterpreting bytes.
 MLOG_VERSION = 1
 
-#: Byte alignment of the column blobs inside an ``.mlog`` payload, so
-#: zero-copy ``frombuffer`` views land on aligned addresses.
+#: Byte alignment of the blobs inside a frame, so zero-copy
+#: ``frombuffer`` views land on aligned addresses.
 _MLOG_ALIGN = 64
 
 #: The fixed column manifest: ``(name, little-endian dtype)`` in payload
@@ -106,23 +112,20 @@ MLOG_COLUMNS: Tuple[Tuple[str, str], ...] = (
     ("alloc_offsets", "<i8"),
 )
 
-_MLOG_DTYPES = dict(MLOG_COLUMNS)
-
 
 class MlogError(ValueError):
-    """Base class of every ``.mlog`` codec failure."""
+    """Base class of every frame and ``.mlog`` codec failure."""
 
 
 class MlogFormatError(MlogError):
-    """A payload that cannot be decoded: wrong magic, unknown version,
-    truncated or bit-flipped bytes, CRC mismatch.  Decoding never
-    returns partial data — any inconsistency raises this."""
+    """A frame that cannot be decoded: wrong magic, unknown version or
+    format, truncated or bit-flipped bytes, CRC mismatch.  Decoding
+    never returns partial data — any inconsistency raises this."""
 
 
 class MlogEncodeError(MlogError):
     """A log the binary codec cannot represent losslessly (e.g.
-    non-integer job ids); callers fall back to the JSON reference
-    encoder."""
+    non-integer job ids)."""
 
 
 def _require_int(value: Any, what: str) -> int:
@@ -478,13 +481,10 @@ class SimulationLog:
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serialisable snapshot of the whole log.
 
-        Floats survive a JSON round-trip bit-exactly, so a log restored
-        with :meth:`from_dict` (e.g. from the sweep result cache)
-        reproduces every derived table byte-identically.  Values are
-        emitted as native Python types (``tolist`` round-trips the
-        buffers bit-exactly) in :class:`JobRecord` field order, so the
-        payload is byte-identical to one built from dataclass
-        instances.
+        Values are emitted as native Python types (``tolist``
+        round-trips the buffers bit-exactly) in :class:`JobRecord` field
+        order, so the payload — the input of every log digest — is
+        byte-identical to one built from dataclass instances.
         """
         self._thaw()
         n = self._n
@@ -522,27 +522,6 @@ class SimulationLog:
                 )
             ],
         }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "SimulationLog":
-        """Rebuild a log produced by :meth:`to_dict`."""
-        log = cls(payload["policy"], payload["topology"])
-        for raw in payload["records"]:
-            log.append_fields(
-                raw["job_id"],
-                raw["workload"],
-                raw["num_gpus"],
-                raw["pattern"],
-                raw["bandwidth_sensitive"],
-                raw["submit_time"],
-                raw["start_time"],
-                raw["finish_time"],
-                tuple(raw["allocation"]),
-                raw["agg_bw"],
-                raw["predicted_effective_bw"],
-                raw["measured_effective_bw"],
-            )
-        return log
 
     # ------------------------------------------------------------------ #
     # binary columnar codec
@@ -730,7 +709,7 @@ class SimulationLog:
 
 
 # ---------------------------------------------------------------------- #
-# the ``.mlog`` payload: header + dtype manifest + per-column CRC
+# the frame: preamble + JSON header + aligned, CRC'd blobs
 # ---------------------------------------------------------------------- #
 #: Fixed-size preamble: magic, format version, header length.
 _MLOG_PREAMBLE = struct.Struct("<4sIQ")
@@ -741,33 +720,29 @@ def _align(offset: int) -> int:
     return (offset + _MLOG_ALIGN - 1) // _MLOG_ALIGN * _MLOG_ALIGN
 
 
-def encode_mlog(
-    log_or_columns: "SimulationLog | LogColumns",
-    meta: Optional[Mapping[str, Any]] = None,
+def _frame_error(why: str) -> MlogFormatError:
+    return MlogFormatError(f"invalid frame: {why}")
+
+
+def encode_frame(
+    fmt: str,
+    header: Mapping[str, Any],
+    blobs: Sequence[Tuple[str, str, bytes]],
 ) -> bytes:
-    """Serialise a log (or a :class:`LogColumns` snapshot) as ``.mlog``.
+    """One self-checking container of named blobs.
 
     Layout: a fixed preamble (magic ``MLOG``, format version, header
-    length), a JSON header carrying the log metadata, the string name
-    tables and the column manifest — each column's dtype, byte offset
-    (relative to the aligned data section), byte length and CRC-32 —
-    then the aligned raw column bytes.  ``meta`` is an optional
-    JSON-ready mapping stored verbatim in the header (the result store
-    puts the cell's ``config_hash``/``label`` there).
-
-    Raises :class:`MlogEncodeError` when the log's content cannot be
-    represented losslessly; callers then fall back to the JSON path.
+    length), a JSON header ``{"format": fmt, "version", **header,
+    "columns": manifest}`` whose manifest gives each blob's name,
+    dtype label, byte offset (relative to the aligned data section),
+    byte length and CRC-32, then the blobs themselves, each aligned so
+    zero-copy ``frombuffer`` views land on aligned addresses.
+    ``blobs`` is a sequence of ``(name, dtype, bytes)``.
     """
-    if isinstance(log_or_columns, SimulationLog):
-        columns = log_or_columns.to_columns()
-    else:
-        columns = log_or_columns
     manifest = []
+    placed = []
     offset = 0
-    blobs = []
-    for name, dtype in MLOG_COLUMNS:
-        arr = np.ascontiguousarray(columns.arrays[name], dtype=np.dtype(dtype))
-        blob = arr.tobytes()
+    for name, dtype, blob in blobs:
         offset = _align(offset)
         manifest.append(
             {
@@ -778,36 +753,124 @@ def encode_mlog(
                 "crc32": zlib.crc32(blob) & 0xFFFFFFFF,
             }
         )
-        blobs.append((offset, blob))
+        placed.append((offset, blob))
         offset += len(blob)
+    header_blob = json.dumps(
+        {"format": fmt, "version": MLOG_VERSION, **header, "columns": manifest},
+        separators=(",", ":"),
+    ).encode("utf-8")
+    data_start = _align(_MLOG_PREAMBLE.size + len(header_blob))
+    out = bytearray(data_start + offset)
+    _MLOG_PREAMBLE.pack_into(out, 0, MLOG_MAGIC, MLOG_VERSION, len(header_blob))
+    out[_MLOG_PREAMBLE.size : _MLOG_PREAMBLE.size + len(header_blob)] = header_blob
+    for blob_offset, blob in placed:
+        start = data_start + blob_offset
+        out[start : start + len(blob)] = blob
+    return bytes(out)
+
+
+def decode_frame(
+    payload: "bytes | bytearray | memoryview", fmt: str
+) -> Tuple[Dict[str, Any], List[Tuple[str, str, memoryview]]]:
+    """``(header, blobs)`` of an :func:`encode_frame` container of ``fmt``.
+
+    ``blobs`` lists ``(name, dtype, view)`` in manifest order, each view
+    a zero-copy slice of ``payload``.  Wrong magic, an unknown version,
+    a header of another ``format``, truncated or malformed manifest
+    entries and any CRC mismatch raise :class:`MlogFormatError`; partial
+    data is never returned.  The CRCs cover the blobs, not the header.
+    """
+    buf = memoryview(payload)
+    if len(buf) < _MLOG_PREAMBLE.size:
+        raise _frame_error("shorter than the preamble")
+    magic, version, header_len = _MLOG_PREAMBLE.unpack_from(buf, 0)
+    if magic != MLOG_MAGIC:
+        raise _frame_error("bad magic")
+    if version != MLOG_VERSION:
+        raise MlogFormatError(
+            f"unsupported frame version {version} (expected {MLOG_VERSION})"
+        )
+    header_end = _MLOG_PREAMBLE.size + header_len
+    if header_end > len(buf):
+        raise _frame_error("truncated header")
+    try:
+        header = json.loads(bytes(buf[_MLOG_PREAMBLE.size : header_end]))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise _frame_error(f"unparseable header ({exc})") from None
+    if not isinstance(header, dict) or header.get("format") != fmt:
+        raise _frame_error(f"not a {fmt} frame")
+    if header.get("version") != MLOG_VERSION:
+        raise _frame_error("header/preamble version mismatch")
+    manifest = header.get("columns")
+    if not isinstance(manifest, list):
+        raise _frame_error("no blob manifest")
+    data_start = _align(header_end)
+    blobs = []
+    for spec in manifest:
+        if not isinstance(spec, dict):
+            raise _frame_error("malformed manifest entry")
+        name, dtype, offset, nbytes = (
+            spec.get("name"), spec.get("dtype"), spec.get("offset"), spec.get("nbytes")
+        )
+        if (
+            not isinstance(name, str)
+            or not isinstance(dtype, str)
+            or not isinstance(offset, int)
+            or not isinstance(nbytes, int)
+            or offset < 0
+            or nbytes < 0
+        ):
+            raise _frame_error(f"blob {name!r}: malformed manifest entry")
+        start = data_start + offset
+        stop = start + nbytes
+        if stop > len(buf):
+            raise _frame_error(f"blob {name}: truncated payload")
+        blob = buf[start:stop]
+        if zlib.crc32(blob) != spec.get("crc32"):
+            raise _frame_error(f"blob {name}: CRC mismatch")
+        blobs.append((name, dtype, blob))
+    return header, blobs
+
+
+# ---------------------------------------------------------------------- #
+# the ``.mlog`` payload: one frame, one blob per column
+# ---------------------------------------------------------------------- #
+def encode_mlog(
+    log_or_columns: "SimulationLog | LogColumns",
+    meta: Optional[Mapping[str, Any]] = None,
+) -> bytes:
+    """Serialise a log (or a :class:`LogColumns` snapshot) as ``.mlog``.
+
+    A ``mapa-mlog`` frame (see :func:`encode_frame`) whose header
+    carries the log metadata and the string name tables, with one blob
+    per :data:`MLOG_COLUMNS` column.  ``meta`` is an optional
+    JSON-ready mapping stored verbatim in the header (the result store
+    puts the cell's ``config_hash``/``label`` there).
+
+    Raises :class:`MlogEncodeError` when the log's content cannot be
+    represented losslessly (the result store then skips caching it).
+    """
+    if isinstance(log_or_columns, SimulationLog):
+        columns = log_or_columns.to_columns()
+    else:
+        columns = log_or_columns
     header = {
-        "format": "mapa-mlog",
-        "version": MLOG_VERSION,
         "policy": columns.policy,
         "topology": columns.topology,
         "n": columns.num_records,
         "workloads": list(columns.workload_names),
         "patterns": list(columns.pattern_names),
         "meta": dict(meta) if meta else {},
-        "columns": manifest,
     }
-    header_blob = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    data_start = _align(_MLOG_PREAMBLE.size + len(header_blob))
-    out = bytearray(data_start + offset)
-    _MLOG_PREAMBLE.pack_into(
-        out, 0, MLOG_MAGIC, MLOG_VERSION, len(header_blob)
-    )
-    out[_MLOG_PREAMBLE.size : _MLOG_PREAMBLE.size + len(header_blob)] = (
-        header_blob
-    )
-    for blob_offset, blob in blobs:
-        start = data_start + blob_offset
-        out[start : start + len(blob)] = blob
-    return bytes(out)
-
-
-def _header_error(why: str) -> MlogFormatError:
-    return MlogFormatError(f"invalid .mlog payload: {why}")
+    blobs = [
+        (
+            name,
+            dtype,
+            np.ascontiguousarray(columns.arrays[name], dtype=np.dtype(dtype)).tobytes(),
+        )
+        for name, dtype in MLOG_COLUMNS
+    ]
+    return encode_frame("mapa-mlog", header, blobs)
 
 
 def decode_mlog(
@@ -822,37 +885,23 @@ def decode_mlog(
     :meth:`SimulationLog.from_columns` does.  The payload is pinned on
     the log so the backing memory outlives every view.
 
-    Every validation failure — wrong magic, unknown version, truncated
-    or overlapping columns, a CRC mismatch from a bit flip — raises
-    :class:`MlogFormatError`; partial data is never returned.
+    Every validation failure — a damaged frame (see
+    :func:`decode_frame`), malformed header fields, a column manifest
+    of another version — raises :class:`MlogFormatError`; partial data
+    is never returned.
     """
-    buf = memoryview(payload)
-    if buf.ndim != 1 or buf.itemsize != 1:
-        buf = buf.cast("B")
-    if len(buf) < _MLOG_PREAMBLE.size:
-        raise _header_error("shorter than the preamble")
-    magic, version, header_len = _MLOG_PREAMBLE.unpack_from(buf, 0)
-    if magic != MLOG_MAGIC:
-        raise _header_error("bad magic (not an .mlog payload)")
-    if version != MLOG_VERSION:
-        raise MlogFormatError(
-            f"unsupported .mlog version {version} (expected {MLOG_VERSION})"
-        )
-    header_end = _MLOG_PREAMBLE.size + header_len
-    if header_end > len(buf):
-        raise _header_error("truncated header")
-    try:
-        header = json.loads(bytes(buf[_MLOG_PREAMBLE.size : header_end]))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise _header_error(f"unparseable header ({exc})") from None
-    if not isinstance(header, dict) or header.get("format") != "mapa-mlog":
-        raise _header_error("wrong container format")
-    if header.get("version") != MLOG_VERSION:
-        raise _header_error("header/preamble version mismatch")
+    return log_from_frame(*decode_frame(payload, "mapa-mlog"), lazy=lazy)
+
+
+def log_from_frame(
+    header: Mapping[str, Any],
+    blobs: Sequence[Tuple[str, str, memoryview]],
+    lazy: bool = False,
+) -> Tuple[Dict[str, Any], "SimulationLog"]:
+    """:func:`decode_mlog` of an already :func:`decode_frame`-d frame."""
     n = header.get("n")
     workloads = header.get("workloads")
     patterns = header.get("patterns")
-    manifest = header.get("columns")
     if (
         not isinstance(n, int)
         or n < 0
@@ -860,43 +909,18 @@ def decode_mlog(
         or not isinstance(patterns, list)
         or not all(isinstance(w, str) for w in workloads)
         or not all(isinstance(p, str) for p in patterns)
-        or not isinstance(manifest, list)
         or not isinstance(header.get("policy"), str)
         or not isinstance(header.get("topology"), str)
     ):
-        raise _header_error("malformed header fields")
-    if [c.get("name") if isinstance(c, dict) else None for c in manifest] != [
-        name for name, _ in MLOG_COLUMNS
-    ]:
-        raise _header_error("column manifest does not match this version")
-    data_start = _align(header_end)
+        raise _frame_error("malformed .mlog header fields")
+    if [(name, dtype) for name, dtype, _ in blobs] != list(MLOG_COLUMNS):
+        raise _frame_error("column manifest does not match this version")
     arrays: Dict[str, np.ndarray] = {}
-    for spec, (name, dtype) in zip(manifest, MLOG_COLUMNS):
-        if spec.get("dtype") != dtype:
-            raise _header_error(f"column {name}: unexpected dtype")
-        offset, nbytes, crc = (
-            spec.get("offset"), spec.get("nbytes"), spec.get("crc32")
-        )
-        if (
-            not isinstance(offset, int)
-            or not isinstance(nbytes, int)
-            or not isinstance(crc, int)
-            or offset < 0
-            or nbytes < 0
-        ):
-            raise _header_error(f"column {name}: malformed manifest entry")
-        start = data_start + offset
-        stop = start + nbytes
-        if stop > len(buf):
-            raise _header_error(f"column {name}: truncated payload")
-        blob = buf[start:stop]
-        if (zlib.crc32(blob) & 0xFFFFFFFF) != crc:
-            raise _header_error(f"column {name}: CRC mismatch")
+    for name, dtype, blob in blobs:
         dt = np.dtype(dtype)
-        if nbytes % dt.itemsize:
-            raise _header_error(f"column {name}: ragged byte length")
-        arr = np.frombuffer(buf, dtype=dt, count=nbytes // dt.itemsize,
-                            offset=start)
+        if len(blob) % dt.itemsize:
+            raise _frame_error(f"column {name}: ragged byte length")
+        arr = np.frombuffer(blob, dtype=dt)
         arr.flags.writeable = False
         arrays[name] = arr
     columns = LogColumns(
@@ -908,5 +932,5 @@ def decode_mlog(
         arrays=arrays,
     )
     meta = header.get("meta")
-    log = SimulationLog.from_columns(columns, lazy=lazy, owner=buf)
+    log = SimulationLog.from_columns(columns, lazy=lazy, owner=blobs)
     return (dict(meta) if isinstance(meta, dict) else {}), log

@@ -287,38 +287,38 @@ class TestCacheCommand:
         assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
         assert "sweep entries        | 0" in capsys.readouterr().out
 
-    def test_legacy_json_store_migrates_to_mlog(self, tmp_path, capsys):
-        """A pre-``.mlog`` store is served, gains ``.mlog`` twins on
-        read, and the twins alone serve the next run."""
-        import json
+    def test_legacy_json_store_is_orphaned(self, tmp_path, capsys):
+        """Entries of the older layouts — ``<hh>/<hash>.json`` and
+        ``<hh>/<hash>.mlog`` at the root — are no longer read: the
+        cells re-simulate into ``cells/``, `stats` reports the old
+        files as orphans and `clear --orphans` removes them."""
+        import shutil
 
         from repro.experiments import ResultStore
-        from repro.sim.records import decode_mlog
 
         grid = ["--grid", "policy=baseline,preserve", "--trace-jobs", "12"]
-        fresh, legacy = tmp_path / "fresh", tmp_path / "legacy"
-        assert main(["sweep", *grid, "--cache-dir", str(fresh)]) == 0
-        for path in ResultStore(str(fresh)).mlog_paths():
-            with open(path, "rb") as fh:
-                meta, log = decode_mlog(fh.read())
-            digest = meta["config_hash"]
-            (legacy / digest[:2]).mkdir(parents=True, exist_ok=True)
-            (legacy / digest[:2] / f"{digest}.json").write_text(
-                json.dumps({**meta, "log": log.to_dict()}), encoding="utf-8"
+        assert main(["sweep", *grid, "--cache-dir", str(tmp_path)]) == 0
+        store = ResultStore(str(tmp_path))
+        for key in store.content.scan("cells"):
+            (tmp_path / key[:2]).mkdir(exist_ok=True)
+            shutil.move(
+                store.content.path("cells", key),
+                tmp_path / key[:2] / f"{key}.mlog",
             )
-        assert len(ResultStore(str(legacy)).entry_paths()) == 2
+            (tmp_path / key[:2] / f"{key}.json").write_text("{}")
         capsys.readouterr()
 
-        assert main(["sweep", *grid, "--cache-dir", str(legacy)]) == 0
-        assert "2 cells, 2 cached, 0 simulated" in capsys.readouterr().err
-        assert main(["cache", "stats", "--cache-dir", str(legacy)]) == 0
+        assert main(["sweep", *grid, "--cache-dir", str(tmp_path)]) == 0
+        assert "2 cells, 0 cached, 2 simulated" in capsys.readouterr().err
+        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "json entries         | 2" in out
-        assert "mlog payloads        | 2" in out
-
-        for path in ResultStore(str(legacy)).entry_paths():
-            os.remove(path)
-        assert main(["sweep", *grid, "--cache-dir", str(legacy)]) == 0
+        assert "sweep entries        | 2" in out
+        assert "orphaned files       | 4" in out
+        assert main(
+            ["cache", "clear", "--orphans", "--cache-dir", str(tmp_path)]
+        ) == 0
+        assert "removed 4 orphaned file(s)" in capsys.readouterr().out
+        assert main(["sweep", *grid, "--cache-dir", str(tmp_path)]) == 0
         assert "2 cells, 2 cached, 0 simulated" in capsys.readouterr().err
 
     def test_stats_on_missing_dir_is_empty_not_an_error(self, tmp_path, capsys):
@@ -340,6 +340,32 @@ class TestCacheCommand:
         assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "scan partitions      | 0" not in out
+
+    def test_corrupt_partition_is_audited_and_warm_still_runs(
+        self, tmp_path, capsys
+    ):
+        """One flipped blob byte: `stats` audits it as corrupt, and
+        `warm` replays anyway (that partition just starts cold)."""
+        from repro.experiments.spill import ScanSpillStore
+
+        args = ["--cache-dir", str(tmp_path), "--fleet", "dgx1-v100:2",
+                "--jobs", "60"]
+        assert main(["cache", "spill", *args]) == 0
+        content = ScanSpillStore(str(tmp_path)).content
+        keys = content.scan("scan")
+        with open(content.path("scan", keys[0]), "r+b") as fh:
+            fh.seek(-1, os.SEEK_END)  # the last byte of the entries blob
+            last = fh.read(1)
+            fh.seek(-1, os.SEEK_END)
+            fh.write(bytes([last[0] ^ 0x01]))
+        capsys.readouterr()
+        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert (
+            f"scan partition audit | {len(keys) - 1} valid, 1 corrupt" in out
+        )
+        assert main(["cache", "warm", *args]) == 0
+        assert "scan hit rate" in capsys.readouterr().out
 
     def test_bad_fleet_spec_is_a_usage_error(self, tmp_path, capsys):
         assert main(

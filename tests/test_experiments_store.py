@@ -1,5 +1,6 @@
 """Unit tests for the content-addressed sweep result cache."""
 
+import hashlib
 import json
 import os
 import time
@@ -15,6 +16,7 @@ from repro.experiments import (
 )
 from repro.experiments.spec import CellConfig
 from repro.experiments.store import CACHE_DIR_ENV, DEFAULT_CACHE_DIR
+from repro.sim.records import decode_mlog, encode_mlog
 
 
 @pytest.fixture(scope="module")
@@ -56,11 +58,6 @@ class TestRoundTrip:
         ]
         assert leftovers == []
 
-    def test_dict_round_trip_preserves_metrics(self, result):
-        clone = CellResult.from_dict(result.to_dict())
-        assert clone.makespan == result.makespan
-        assert clone.throughput == result.throughput
-
 
 class TestMisses:
     def test_load_missing_counts_miss(self, tmp_path, cell):
@@ -71,25 +68,52 @@ class TestMisses:
     def test_corrupted_entry_is_a_miss(self, tmp_path, cell, result):
         store = ResultStore(str(tmp_path))
         path = store.save(result)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write('{"truncated": ')
+        with open(path, "rb") as fh:
+            payload = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(payload[: len(payload) // 2])  # torn write
         assert store.load(cell) is None
+        assert store.misses == 1
+        assert store.content.corrupt["cells"] == 1
 
     def test_wrong_shape_entry_is_a_miss(self, tmp_path, cell, result):
+        """A sound frame filed under another cell's key is refused."""
         store = ResultStore(str(tmp_path))
         path = store.save(result)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"not": "a result"}, fh)
+        with open(path, "wb") as fh:
+            fh.write(encode_mlog(result.log, meta={"config_hash": "ab" * 32}))
         assert store.load(cell) is None
+        assert store.content.corrupt["cells"] == 1
+
+
+    @pytest.mark.parametrize(
+        "old, new", [(b'"n":8,', b'"n":9,'), (b'"job_id"', b'"job_ie"')]
+    )
+    def test_header_edit_the_crc_misses_is_a_miss(
+        self, tmp_path, cell, result, old, new
+    ):
+        """The CRCs cover the blobs, not the header: a same-length edit
+        of the record count or a column name passes the frame and key
+        checks, and must still read as a counted miss, not an error."""
+        store = ResultStore(str(tmp_path))
+        path = store.save(result)
+        with open(path, "rb") as fh:
+            payload = fh.read()
+        assert payload.count(old) == 1
+        with open(path, "wb") as fh:
+            fh.write(payload.replace(old, new))
+        assert store.load(cell) is None
+        assert store.misses == 1
+        assert store.content.corrupt["cells"] == 1
 
 
 def _write_legacy_json(root, result):
-    """Stage a pre-``.mlog`` store entry: ``<root>/<hh>/<hash>.json``."""
+    """Stage a pre-``cells/`` JSON entry: ``<root>/<hh>/<hash>.json``."""
     fanout = os.path.join(str(root), result.config_hash[:2])
     os.makedirs(fanout, exist_ok=True)
     path = os.path.join(fanout, f"{result.config_hash}.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result.to_dict(), fh)
+        json.dump({"config_hash": result.config_hash, "log": {}}, fh)
     return path
 
 
@@ -100,7 +124,7 @@ def _age(path, seconds=7200.0):
 
 
 class TestOrphanTmpAge:
-    """``clear(orphans_only=True)`` vs leaked ``mkstemp`` temp files."""
+    """``clear(orphans=True)`` vs leaked ``mkstemp`` temp files."""
 
     def _plant_tmp(self, tmp_path, name):
         fanout = tmp_path / "ab"
@@ -116,7 +140,7 @@ class TestOrphanTmpAge:
         _age(stale)
         fresh = self._plant_tmp(tmp_path, ".tmp-fresh.json")
 
-        removed, freed = store.clear(orphans_only=True)
+        removed, freed = store.content.clear(orphans=True)
 
         assert removed == 1
         assert freed > 0
@@ -129,7 +153,7 @@ class TestOrphanTmpAge:
         store = ResultStore(str(tmp_path))
         store.save(result)
         junk = self._plant_tmp(tmp_path, "debris.txt")  # brand new
-        removed, _ = store.clear(orphans_only=True)
+        removed, _ = store.content.clear(orphans=True)
         assert removed == 1
         assert not junk.exists()
 
@@ -138,7 +162,7 @@ class TestOrphanTmpAge:
         stale = self._plant_tmp(tmp_path, ".tmp-stale.json")
         _age(stale)
         fresh = self._plant_tmp(tmp_path, ".tmp-fresh.json")
-        removed, _ = store.clear(orphans_only=True, tmp_age=0)
+        removed, _ = store.content.clear(orphans=True, tmp_age=0)
         assert removed == 2
         assert not stale.exists() and not fresh.exists()
 
@@ -146,7 +170,7 @@ class TestOrphanTmpAge:
         store = ResultStore(str(tmp_path))
         store.save(result)
         fresh = self._plant_tmp(tmp_path, ".tmp-fresh.json")
-        store.clear()
+        store.content.clear()
         assert not fresh.exists()
         assert store.load(cell) is None
 
@@ -174,90 +198,108 @@ class TestBinaryTier:
     ):
         store = ResultStore(str(tmp_path))
         path = store.save(result)
-        assert path.endswith(".mlog")
-        assert not os.path.exists(store._path(result.config_hash))
+        assert path == os.path.join(
+            str(tmp_path), "cells", result.config_hash[:2],
+            f"{result.config_hash}.mlog",
+        )
         loaded = store.load(cell)
         assert loaded is not None
-        assert store.mlog_hits == 1 and store.json_hits == 0
+        assert store.mlog_hits == 1
+        assert store.json_hits == store.migrations == 0
         assert loaded.log.to_dict() == result.log.to_dict()
 
-    def test_unencodable_log_is_saved_as_json(self, tmp_path, cell, result):
+    def test_unencodable_log_is_not_cached(self, tmp_path, cell, result):
         import copy
 
         log = copy.deepcopy(result.log)
         log._thaw() if log._lazy else None
-        log._allocation[0] = ("gpu-a",)  # the codec needs integer GPU ids
+        log._job_id[0] = "job-a"  # the codec needs integer job ids
         broken = CellResult(result.config_hash, result.label, log)
         store = ResultStore(str(tmp_path))
-        path = store.save(broken)
-        assert path.endswith(".json")
-        assert store.mlog_paths() == []
-        assert store.load(cell) is not None
-        assert store.json_hits == 1 and store.migrations == 0
-        assert store.mlog_paths() == []
+        assert store.save(broken) is None
+        assert store.disk_stats().entries == 0
+        assert store.load(cell) is None and store.misses == 1
 
-    def test_json_hit_migrates_read_through(self, tmp_path, cell, result):
-        _write_legacy_json(tmp_path, result)
+    def test_legacy_json_entry_is_an_orphan(self, tmp_path, cell, result):
+        legacy = _write_legacy_json(tmp_path, result)
         store = ResultStore(str(tmp_path))
-        first = store.load(cell)
-        assert first is not None
-        assert store.json_hits == 1 and store.migrations == 1
-        assert len(store.mlog_paths()) == 1
-        # Second load is served from the freshly-written binary twin.
-        second = store.load(cell)
-        assert store.mlog_hits == 1
-        assert second.log.to_dict() == first.log.to_dict()
-
-    def test_corrupt_mlog_falls_back_to_json(self, tmp_path, cell, result):
-        _write_legacy_json(tmp_path, result)
-        store = ResultStore(str(tmp_path))
-        twin = store.save(result)
-        with open(twin, "wb") as fh:
-            fh.write(b"MLOG garbage")
-        loaded = store.load(cell)
-        assert loaded is not None
-        assert store.json_hits == 1 and store.mlog_hits == 0
-        assert loaded.log.to_dict() == result.log.to_dict()
-        # The damaged twin was rewritten from the JSON entry.
-        again = store.load(cell)
-        assert store.mlog_hits == 1 and store.json_hits == 1
-        assert store.migrations == 1
-        assert again.log.to_dict() == result.log.to_dict()
+        assert store.load(cell) is None
+        assert store.content.corrupt["cells"] == 0  # absent, not corrupt
+        stats = store.disk_stats()
+        assert (stats.entries, stats.orphans) == (0, 1)
+        assert stats.orphan_bytes == os.path.getsize(legacy)
+        assert store.content.clear(orphans=True) == (1, stats.orphan_bytes)
+        assert not os.path.exists(legacy)
 
     def test_payload_round_trip(self, tmp_path, result):
-        from repro.sim.records import decode_mlog, encode_mlog
-
         store = ResultStore(str(tmp_path))
         payload = encode_mlog(result.log, meta={"config_hash": "deadbeef"})
         path = store.save_payload("deadbeef", payload)
         with open(path, "rb") as fh:
             assert fh.read() == payload
-        assert store.mlog_paths() == [path]
-        meta, log = decode_mlog(payload, lazy=True)
+        assert store.content.scan("cells") == ["deadbeef"]
+        meta, log = store.content.get("cells", "deadbeef")
         assert meta["config_hash"] == "deadbeef"
         assert log.to_dict() == result.log.to_dict()
+        assert decode_mlog(payload)[1].to_dict() == result.log.to_dict()
+
+    def test_payload_bytes_are_pinned(self):
+        """The ``.mlog`` bytes of one seeded cell are frozen: a codec or
+        framing change that moves a byte changes every cache key's
+        payload, so it must be deliberate."""
+        pinned = CellConfig(
+            topology="dgx1-v100",
+            policy="preserve",
+            discipline="fifo",
+            trace=TraceSpec(num_jobs=40, seed=2021),
+        )
+        cell_result = simulate_cell(pinned)
+        payload = encode_mlog(
+            cell_result.log,
+            meta={"config_hash": cell_result.config_hash, "label": cell_result.label},
+        )
+        assert hashlib.sha256(payload).hexdigest() == (
+            "4f65ac096106bfbe01d30152c5e07e13187945bc348f5090f78d3aed3970fa7f"
+        )
 
     def test_disk_stats_and_clear_cover_both_tiers(
         self, tmp_path, cell, result
     ):
-        _write_legacy_json(tmp_path, result)
         store = ResultStore(str(tmp_path))
-        store.load(cell)  # migrate: entry now has a JSON and an .mlog file
+        store.save(result)
+        scan = store.content.put("scan", "cd" * 32, b"partition")
         stats = store.disk_stats()
-        assert stats.entries == 1
-        assert stats.json_entries == 1 and stats.mlog_entries == 1
-        assert stats.json_bytes > 0 and stats.mlog_bytes > 0
-        rows = dict(
-            (tier, (files, nbytes))
-            for tier, files, nbytes in stats.tier_rows()
-        )
-        assert rows["json"] == (1, stats.json_bytes)
-        assert rows["mlog"] == (1, stats.mlog_bytes)
-        removed, freed = store.clear()
-        assert removed == 2 and freed > 0
+        assert (stats.entries, stats.scan_entries, stats.orphans) == (1, 1, 0)
+        rows = {tier: (files, nbytes) for tier, files, nbytes in stats.tier_rows()}
+        assert rows == {
+            "cells": (1, stats.total_bytes),
+            "scan": (1, os.path.getsize(scan)),
+        }
+        removed, freed = store.content.clear()
+        assert removed == 2 and freed == stats.total_bytes + stats.scan_bytes
         after = store.disk_stats()
-        assert after.entries == 0
-        assert after.json_entries == after.mlog_entries == 0
+        assert after.entries == after.scan_entries == 0
+        assert os.listdir(str(tmp_path)) == []
+
+
+class TestNamespaceWalk:
+    def test_scan_walks_only_its_namespace(
+        self, tmp_path, result, monkeypatch
+    ):
+        """Listing scan partitions must not pay a walk over every cell."""
+        store = ResultStore(str(tmp_path))
+        store.save(result)
+        store.content.put("scan", "cd" * 32, b"partition")
+        walked = []
+        real_scandir = os.scandir
+
+        def spy_scandir(path):
+            walked.append(os.path.relpath(path, str(tmp_path)))
+            return real_scandir(path)
+
+        monkeypatch.setattr(os, "scandir", spy_scandir)
+        assert store.content.scan("scan") == ["cd" * 32]
+        assert walked and all(p.startswith("scan") for p in walked)
 
 
 class TestDiskStatsNeverOpens:
@@ -285,4 +327,4 @@ class TestDiskStatsNeverOpens:
         stats = store.disk_stats()
         assert opened == []
         assert stats.entries == 1
-        assert stats.json_entries == 1 and stats.mlog_entries == 1
+        assert stats.orphans == 1

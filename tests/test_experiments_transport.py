@@ -134,7 +134,8 @@ class TestEndToEnd:
     def test_warm_rerun_hits_binary_tier(self, tmp_path):
         with SweepRunner(jobs=2, store=ResultStore(str(tmp_path))) as runner:
             runner.run(self._spec())
-        assert ResultStore(str(tmp_path)).entry_paths() == []
+        stats = ResultStore(str(tmp_path)).disk_stats()
+        assert (stats.entries, stats.orphans) == (2, 0)
         warm_store = ResultStore(str(tmp_path))
         with SweepRunner(jobs=2, store=warm_store) as runner:
             outcome = runner.run(self._spec())

@@ -327,4 +327,4 @@ class TestRunnerSpillTier:
                     reference.results[cell].log.to_dict(), sort_keys=True
                 )
             assert SCAN_SPILL_ENV not in os.environ
-        assert ScanSpillStore(str(tmp_path)).partition_paths()
+        assert ScanSpillStore(str(tmp_path)).content.scan("scan")

@@ -11,9 +11,15 @@ Two contracts pin the binary tier:
   tampered preamble or manifest) raises a clean
   :class:`~repro.sim.records.MlogFormatError` — decode never returns
   partial data.
+
+The same frame carries spilled scan partitions (``mapa-scan``): every
+truncation and every CRC-covered bit flip makes the content store's
+``get`` refuse the partition, and no damage at all escapes
+:meth:`~repro.experiments.spill.ScanSpillStore.load`.
 """
 
 import json
+import os
 import struct
 
 import pytest
@@ -21,7 +27,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import run_cluster
+from repro.experiments.spill import ScanSpillStore
+from repro.experiments.store import ContentStore
 from repro.scenarios import DynamicsSpec, FleetSpec, ScenarioSpec
+from repro.scoring.memo import ScanCache
 from repro.sim.records import (
     MLOG_MAGIC,
     MLOG_VERSION,
@@ -191,3 +200,93 @@ class TestDamageRefusal:
         body += b" " * (header_len - len(body))  # keep offsets stable
         with pytest.raises(MlogFormatError):
             decode_mlog(payload[:16] + body + payload[16 + header_len:])
+
+
+# ---------------------------------------------------------------------- #
+# the same refusal for a spilled scan partition (a ``mapa-scan`` frame)
+# ---------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def scan_frame(tmp_path_factory):
+    """``(root, key, frame)``: the smallest partition a replay spills,
+    alone in its root (every other partition is removed)."""
+    fleet = FleetSpec.parse("dgx1-v100:2")
+    trace = ScenarioSpec(num_jobs=30, seed=11, name="codec-scan").resolve(
+        fleet.min_gpus_per_server()
+    ).build()
+    cache = ScanCache()
+    run_cluster(fleet.build(), trace, gpu_policy="preserve", scan_cache=cache)
+    root = str(tmp_path_factory.mktemp("scan-frame"))
+    store = ScanSpillStore(root)
+    assert store.spill(cache) > 0
+    frames = {}
+    for key in store.content.scan("scan"):
+        path = store.content.path("scan", key)
+        with open(path, "rb") as fh:
+            frames[key] = fh.read()
+        os.remove(path)
+    key = min(frames, key=lambda k: len(frames[k]))
+    return root, key, frames[key]
+
+
+def _plant(root, key, frame):
+    """Overwrite the partition file directly (no fsync per example)."""
+    content = ContentStore(root)
+    with open(content.path("scan", key), "wb") as fh:
+        fh.write(frame)
+    return content
+
+
+def _loads_cleanly(root):
+    """``ScanSpillStore.load`` on the damaged tier: never raises."""
+    store = ScanSpillStore(root)
+    cache = ScanCache()
+    store.load(cache)
+    return store, cache
+
+
+class TestScanFrameRefusal:
+    def test_sound_frame_is_served_and_seeds(self, scan_frame):
+        root, key, frame = scan_frame
+        header, entries = _plant(root, key, frame).get("scan", key)
+        assert (header["format"], len(entries) > 0) == ("mapa-scan", True)
+        store, cache = _loads_cleanly(root)
+        assert store.stats.corrupt_partitions == 0
+        assert len(cache.entries()) > 0
+
+    def test_every_truncation_is_refused(self, scan_frame):
+        root, key, frame = scan_frame
+        for cut in range(len(frame)):
+            content = _plant(root, key, frame[:cut])
+            assert content.get("scan", key) is None, cut
+        assert content.corrupt["scan"] == 1  # the refusal is counted
+
+    def test_every_crc_covered_bit_flip_is_refused(self, scan_frame):
+        root, key, frame = scan_frame
+        spans = _column_data_positions(frame)
+        assert spans
+        for start, nbytes in spans:
+            for offset in range(start, start + nbytes):
+                for bit in range(8):
+                    damaged = bytearray(frame)
+                    damaged[offset] ^= 1 << bit
+                    content = _plant(root, key, bytes(damaged))
+                    assert content.get("scan", key) is None, (offset, bit)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_no_damage_escapes_load(self, scan_frame, data):
+        """Any truncation or flipped bit — header included — loads
+        without raising, and a refused frame seeds nothing."""
+        root, key, frame = scan_frame
+        damaged = bytearray(frame)
+        if data.draw(st.booleans()):
+            damaged = damaged[: data.draw(st.integers(0, len(frame) - 1))]
+        else:
+            offset = data.draw(st.integers(0, len(frame) - 1))
+            damaged[offset] ^= 1 << data.draw(st.integers(0, 7))
+        content = _plant(root, key, bytes(damaged))
+        refused = content.get("scan", key) is None
+        store, cache = _loads_cleanly(root)
+        assert store.stats.corrupt_partitions == int(refused)
+        if refused:
+            assert len(cache.entries()) == 0

@@ -11,9 +11,11 @@ results.  These tests pin that, including the persistent
 
 import hashlib
 import json
+import struct
 
 from repro.cluster import MultiServerScheduler, run_cluster
 from repro.experiments.spill import ScanSpillStore
+from repro.experiments.store import partition_hash
 from repro.policies.base import AllocationRequest
 from repro.scenarios import DynamicsSpec, FleetSpec, ScenarioSpec
 from repro.scoring.memo import ScanCache
@@ -169,6 +171,37 @@ class TestSpillTierUnderChurn:
         assert _digest(warmed.log) == reference
 
 
+class TestSpillSkipsWhatCannotRoundTrip:
+    def test_exotic_token_is_skipped_and_its_siblings_spill(self, tmp_path):
+        fleet = FleetSpec.parse("dgx1-v100:1")
+        trace = (
+            ScenarioSpec(num_jobs=20, seed=5, name="spill-exotic")
+            .resolve(fleet.min_gpus_per_server())
+            .build()
+        )
+        cache = ScanCache()
+        run_cluster(fleet.build(), trace, scan_cache=cache)
+        entry = next(e for e in cache.entries() if e.winners)
+        token, winner = next(iter(entry.winners.items()))
+        entry.winners[("exotic", object())] = winner
+        store = ScanSpillStore(root=str(tmp_path))
+        assert store.spill(cache) == sum(1 for e in cache.entries() if e.winners)
+
+        warm = ScanCache()
+        assert ScanSpillStore(root=str(tmp_path)).load(warm) > 0
+        (loaded,) = [e for e in warm.entries() if e.key == entry.key]
+        assert token in loaded.winners
+        assert len(loaded.winners) == len(entry.winners) - 1
+        assert loaded.winners[token].gpus == winner.gpus
+
+
+def _partition_paths(store):
+    """Paths of every spilled partition frame (sorted by key)."""
+    return [
+        store.content.path("scan", key) for key in store.content.scan("scan")
+    ]
+
+
 class TestSpillCorruptionCounting:
     """Corrupt partitions must be counted, never silently swallowed."""
 
@@ -186,12 +219,12 @@ class TestSpillCorruptionCounting:
 
     def test_truncated_partition_counted_load_still_succeeds(self, tmp_path):
         store = self._spilled_store(tmp_path)
-        paths = store.partition_paths()
+        paths = _partition_paths(store)
         assert len(paths) >= 2
         victim = paths[0]
-        with open(victim, encoding="utf-8") as fh:
+        with open(victim, "rb") as fh:
             data = fh.read()
-        with open(victim, "w", encoding="utf-8") as fh:
+        with open(victim, "wb") as fh:
             fh.write(data[: len(data) // 2])  # torn write mid-file
 
         fresh = ScanSpillStore(root=str(tmp_path))
@@ -208,21 +241,33 @@ class TestSpillCorruptionCounting:
 
     def test_version_mismatch_counts_as_corrupt(self, tmp_path):
         store = self._spilled_store(tmp_path)
-        victim = store.partition_paths()[0]
-        with open(victim, "w", encoding="utf-8") as fh:
-            json.dump({"version": 999, "entries": []}, fh)
+        victim = _partition_paths(store)[0]
+        with open(victim, "r+b") as fh:
+            fh.seek(4)  # the preamble's format version
+            fh.write(struct.pack("<I", 999))
         fresh = ScanSpillStore(root=str(tmp_path))
         fresh.load(ScanCache())
         assert fresh.stats.corrupt_partitions == 1
 
+    def test_legacy_json_partition_is_an_orphan(self, tmp_path):
+        store = self._spilled_store(tmp_path)
+        legacy = tmp_path / "scan" / "ab" / ("ab" + "0" * 62 + ".json")
+        legacy.parent.mkdir(parents=True, exist_ok=True)
+        legacy.write_text(json.dumps({"version": 1, "entries": []}))
+        assert store.content.verify("scan") == (len(_partition_paths(store)), 0)
+        assert store.content.stats().orphans == 1
+        assert store.content.clear(orphans=True)[0] == 1
+        assert not legacy.exists()
+        assert store.content.verify("scan") == (len(_partition_paths(store)), 0)
+
     def test_verify_audits_without_mutating_stats(self, tmp_path):
         store = self._spilled_store(tmp_path)
-        paths = store.partition_paths()
-        with open(paths[0], "w", encoding="utf-8") as fh:
-            fh.write("not json at all")
+        paths = _partition_paths(store)
+        with open(paths[0], "wb") as fh:
+            fh.write(b"not a frame at all")
 
         fresh = ScanSpillStore(root=str(tmp_path))
-        valid, corrupt = fresh.verify()
+        valid, corrupt = fresh.content.verify("scan")
         assert corrupt == 1
         assert valid == len(paths) - 1
         # verify() is a read-only audit: cumulative traffic counters
@@ -231,6 +276,80 @@ class TestSpillCorruptionCounting:
 
     def test_clean_tier_verifies_clean(self, tmp_path):
         store = self._spilled_store(tmp_path)
-        valid, corrupt = store.verify()
+        valid, corrupt = store.content.verify("scan")
         assert corrupt == 0
-        assert valid == len(store.partition_paths())
+        assert valid == len(_partition_paths(store))
+
+
+def _edit_first_winner_gpu(path):
+    """Rewrite ``gpus[0]`` of a partition's first winner in place.
+
+    The replacement is another valid GPU id of the same digit count, so
+    the frame keeps its exact shape — only the blob's CRC can tell.
+    """
+    with open(path, "rb") as fh:
+        frame = bytearray(fh.read())
+    _, _, header_len = struct.unpack_from("<4sIQ", frame, 0)
+    header = json.loads(bytes(frame[16 : 16 + header_len]))
+    (spec,) = header["columns"]
+    start = (16 + header_len + 63) // 64 * 64 + spec["offset"]
+    entries = json.loads(bytes(frame[start : start + spec["nbytes"]]))
+    gpus = entries[0][1][0][1]
+    gpus[0] = next(g for g in range(8) if g not in gpus)
+    blob = json.dumps(entries, separators=(",", ":")).encode("utf-8")
+    assert len(blob) == spec["nbytes"]
+    frame[start : start + len(blob)] = blob
+    with open(path, "wb") as fh:
+        fh.write(bytes(frame))
+
+
+def _keys(cache):
+    return [entry.key for entry in cache.entries()]
+
+
+class TestEditedWinnerIsRefused:
+    """A same-shape edit of one spilled GPU id must seed nothing.
+
+    Without a checksum the edited winner parsed as valid and the warm
+    replay committed it: ``AllocationError: GPU … is busy`` (or a
+    ``KeyError`` for an id the wiring lacks).
+    """
+
+    def test_edited_partition_seeds_nothing_and_replay_is_cold_identical(
+        self, tmp_path
+    ):
+        fleet = FleetSpec.parse("dgx1-v100:2")
+        trace = (
+            ScenarioSpec(num_jobs=200, seed=0, name="spill-edit")
+            .resolve(fleet.min_gpus_per_server())
+            .build()
+        )
+        cache = ScanCache()
+        cold = run_cluster(
+            fleet.build(), trace, gpu_policy="preserve", scan_cache=cache
+        )
+        store = ScanSpillStore(root=str(tmp_path))
+        assert store.spill(cache) > 0
+        victim_key = store.content.scan("scan")[0]
+        _edit_first_winner_gpu(store.content.path("scan", victim_key))
+
+        fresh = ScanSpillStore(root=str(tmp_path))
+        warm = ScanCache()
+        fresh.load(warm)
+        assert fresh.stats.corrupt_partitions == 1
+        assert fresh.content.verify("scan") == (len(store.content.scan("scan")) - 1, 1)
+        def partitions(scan_cache):
+            return {partition_hash(th, *pid) for th, pid, _ in _keys(scan_cache)}
+
+        assert victim_key in partitions(cache)
+        assert victim_key not in partitions(warm)
+        assert len(warm.entries()) > 0
+
+        warmed = run_cluster(
+            fleet.build(),
+            trace,
+            gpu_policy="preserve",
+            scan_cache=ScanCache(),
+            scan_spill=ScanSpillStore(root=str(tmp_path)),
+        )
+        assert _digest(warmed.log) == _digest(cold.log)

@@ -429,7 +429,8 @@ class TestDrain:
         with open(metrics_path, encoding="utf-8") as fh:
             snapshot = json.load(fh)
         assert snapshot["service_log_rows"] == 2
-        assert set(snapshot["store_tiers"]) == {"json", "mlog", "scan"}
+        assert set(snapshot["store_tiers"]) == {"cells", "scan"}
+        assert snapshot["store_tiers"]["scan"]["files"] > 0
 
 
 class TestWarmRestart:
@@ -470,12 +471,13 @@ class TestWarmRestart:
             client.drain()
         handle.join(timeout=30)
 
-        from repro.experiments.spill import ScanSpillStore
+        from repro.experiments.store import ContentStore
 
-        paths = ScanSpillStore(root=spill_root).partition_paths()
-        assert paths
-        with open(paths[0], "w", encoding="utf-8") as fh:
-            fh.write('{"torn')
+        content = ContentStore(spill_root)
+        keys = content.scan("scan")
+        assert keys
+        with open(content.path("scan", keys[0]), "wb") as fh:
+            fh.write(b"MLOG torn")
 
         socket_path2, _ = serve(index=1, spill_root=spill_root)
         with AllocationClient(socket_path=socket_path2) as client:
@@ -483,6 +485,41 @@ class TestWarmRestart:
             assert stats["spill_audit"]["corrupt_partitions"] == 1
             assert stats["spill"]["corrupt_partitions"] == 1
             client.drain()
+
+
+    def test_stats_requests_read_no_partition(
+        self, serve, tmp_path, monkeypatch
+    ):
+        """The spill audit is taken at startup and after the drain's
+        spill; ``stats`` requests serve the cached result and never
+        touch the tier, however many arrive."""
+        from repro.experiments.store import ContentStore
+
+        spill_root = str(tmp_path / "cache")
+        socket_path, handle = serve(index=0, spill_root=spill_root)
+        with AllocationClient(socket_path=socket_path) as client:
+            client.submit("seed", 4)
+            client.release("seed")
+            client.drain()
+        handle.join(timeout=30)
+
+        socket_path2, _ = serve(index=1, spill_root=spill_root)
+        calls = []
+        for name in ("get", "verify", "scan", "stats"):
+            real = getattr(ContentStore, name)
+
+            def spy(self, *args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(ContentStore, name, spy)
+        with AllocationClient(socket_path=socket_path2) as client:
+            audits = [client.stats()["spill_audit"] for _ in range(5)]
+            assert calls == []
+            assert audits[0]["valid_partitions"] > 0
+            assert all(audit == audits[0] for audit in audits)
+            client.drain()
+        assert "verify" in calls  # the drain re-audits after its spill
 
 
 class TestShardedBackend:
