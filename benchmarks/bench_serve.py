@@ -63,8 +63,8 @@ RPS_GATE = float(os.environ.get("MAPA_SERVE_RPS_GATE", "1000"))
 #: Scan-cache hit rate the restarted daemon must reach on the rerun.
 WARM_GATE = float(os.environ.get("MAPA_SERVE_WARM_GATE", "0.9"))
 
-#: Flush window (s): long enough that pipelined submits coalesce into
-#: real batches, short enough to stay invisible in the latency budget.
+#: Flush window (s): the upper bound on coalescing a pipelined burst
+#: into one dispatch; a lone op never waits it out.
 FLUSH_WINDOW = 0.002
 
 

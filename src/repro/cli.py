@@ -1282,8 +1282,9 @@ def build_parser() -> argparse.ArgumentParser:
             "Host a MAPA scheduler behind a long-running socket speaking "
             "newline-delimited JSON (see `mapa client`).  The daemon "
             "owns admission control (bounded wait queue, per-tenant "
-            "quotas), batches submits arriving within one flush window "
-            "into a single scheduler dispatch, and on drain spills the "
+            "quotas), dispatches as soon as work arrives while coalescing "
+            "a pipelined burst (bounded by --flush-window) into a single "
+            "scheduler dispatch, and on drain spills the "
             "warm scan cache to the persistent tier so a restart starts "
             "hot.  --shards N swaps the in-process scheduler for the "
             "sharded fleet scheduler behind the same protocol.  --bench "
@@ -1337,8 +1338,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--flush-window",
         type=float,
         default=0.0,
-        help="seconds to coalesce arrivals into one dispatch (0 = "
-        "dispatch whatever each loop wake collected)",
+        help="upper bound, in seconds, on coalescing arrivals into one "
+        "dispatch, not a delay: a dispatch waits only while each loop "
+        "tick brings new ops (0 = dispatch whatever each wake collected)",
     )
     p_serve.add_argument(
         "--quota-gpus",

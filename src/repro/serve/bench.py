@@ -4,8 +4,9 @@ Drives a running daemon with a :class:`~repro.scenarios.spec.ScenarioSpec`
 job stream — the same seeded arrival/mix machinery every replay uses —
 over one pipelined client connection, and reports sustained
 requests/sec.  Pipelining is the point: submits are fired without
-waiting for responses, so the daemon's flush window actually coalesces
-them into batched dispatches instead of seeing one lonely op per wake.
+waiting for responses, so the daemon sees a burst of ops on each wake
+and coalesces them into batched dispatches (the flush window only
+bounds that coalescing) instead of seeing one lonely op per wake.
 
 The generator keeps a bounded set of live allocations (``max_active``)
 and releases the oldest as new ones land, so the fleet reaches a

@@ -13,13 +13,17 @@ Admission control
     a silent drop, never an unbounded queue.
 
 Request batching
-    Submits and releases that arrive within one flush window coalesce
-    into a single scheduler dispatch.  The sharded backend turns a
-    whole batch into **one** ``flush()`` round trip per shard — the
-    same batching discipline the replay simulator uses — so socket
-    arrival rate decouples from per-operation scheduler latency.
-    ``flush_window=0`` dispatches as soon as the loop drains the
-    sockets, which still batches whatever arrived together.
+    The dispatcher runs a batch as soon as it wakes.  With
+    ``flush_window > 0`` it first yields loop ticks while each tick
+    brings new submits or releases, and ``flush_window`` only bounds
+    how long that coalescing may last: a lone op never waits out the
+    window, while a pipelined burst (every line already buffered on a
+    socket is admitted within one tick) becomes a single scheduler
+    dispatch.  The sharded backend turns a whole batch into **one**
+    ``flush()`` round trip per shard — the same batching discipline
+    the replay simulator uses.  Each reply is written straight to its
+    connection; a connection stops being read while its peer does not
+    read its replies.
 
 Graceful shutdown
     ``drain`` stops admission, gives in-flight jobs a grace period to
@@ -331,16 +335,28 @@ def _build_backend(config: DaemonConfig):
 # ---------------------------------------------------------------------- #
 # the daemon
 # ---------------------------------------------------------------------- #
+def _reply(writer, req_id, response: Dict[str, Any]) -> None:
+    """Write one response, tagged with its request ``id``, to its
+    connection; a connection that is closing gets nothing."""
+    if writer.is_closing():
+        return
+    if req_id is not None:
+        response["id"] = req_id
+    writer.write(protocol.encode_line(response))
+
+
 class _Op:
-    """One admitted submit/release awaiting its batch dispatch."""
+    """One admitted submit/release awaiting its batch dispatch, with
+    the connection and request ``id`` its reply goes to."""
 
-    __slots__ = ("kind", "spec", "job_id", "future")
+    __slots__ = ("kind", "spec", "job_id", "writer", "req_id")
 
-    def __init__(self, kind, spec, job_id, future) -> None:
+    def __init__(self, kind, spec, job_id, writer, req_id) -> None:
         self.kind = kind
         self.spec = spec
         self.job_id = job_id
-        self.future = future
+        self.writer = writer
+        self.req_id = req_id
 
 
 class _Lease:
@@ -371,6 +387,8 @@ class AllocationDaemon:
         self.metrics.warm_entries = self.backend.warm_entries
         self._audit = self._audit_store()
         self._pending: List[_Op] = []
+        # Submits among ``_pending``: the queue bound's share of it.
+        self._pending_submits = 0
         self._waiting: Deque[_Op] = deque()
         self._ledger: Dict[Hashable, _Lease] = {}
         # Service log: one row per completed lease (released or forced),
@@ -388,10 +406,8 @@ class AllocationDaemon:
         self._drain_lock: Optional[asyncio.Lock] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._dispatcher: Optional[asyncio.Task] = None
-        # Live connection handlers -> their stream writers, and the
-        # tasks holding deferred replies.
+        # Live connection handlers -> their stream writers.
         self._connections: Dict[asyncio.Task, Any] = {}
-        self._replies: set = set()
         self._work: Optional[asyncio.Event] = None
         self._shutdown: Optional[asyncio.Event] = None
 
@@ -454,14 +470,10 @@ class AllocationDaemon:
         # returns: a cancelled handler makes asyncio's stream callback
         # log a CancelledError traceback.  close() flushes first, so a
         # peer that stopped reading has its transport aborted after a
-        # grace period.  Deferred replies can wait forever, so cancel
-        # those.  Await everything, so nothing is left pending when the
-        # loop closes.
+        # grace period.  Await every handler, so nothing is left
+        # pending when the loop closes.
         for writer in self._connections.values():
             writer.close()
-        for task in self._replies:
-            task.cancel()
-        await asyncio.gather(*self._replies, return_exceptions=True)
         if self._connections:
             _, stuck = await asyncio.wait(
                 list(self._connections), timeout=_CLOSE_GRACE_S
@@ -488,16 +500,6 @@ class AllocationDaemon:
         self.metrics.connections += 1
         task = asyncio.current_task()
         self._connections[task] = writer
-        lock = asyncio.Lock()
-
-        async def send(payload: Dict[str, Any]) -> None:
-            async with lock:
-                writer.write(protocol.encode_line(payload))
-                try:
-                    await writer.drain()
-                except ConnectionError:
-                    pass
-
         try:
             while True:
                 try:
@@ -514,9 +516,17 @@ class AllocationDaemon:
                     payload = protocol.decode_line(line)
                 except ProtocolError as exc:
                     self.metrics.errors += 1
-                    await send({"status": "error", "reason": str(exc)})
-                    continue
-                await self._handle_request(payload, send)
+                    _reply(writer, None, {
+                        "status": "error", "reason": str(exc),
+                    })
+                else:
+                    await self._handle_request(payload, writer)
+                # Backpressure: a peer that stops reading its replies
+                # stops being read.
+                try:
+                    await writer.drain()
+                except ConnectionError:
+                    pass
         finally:
             del self._connections[task]
             try:
@@ -524,46 +534,31 @@ class AllocationDaemon:
             except Exception:
                 pass
 
-    async def _handle_request(self, payload, send) -> None:
+    async def _handle_request(self, payload, writer) -> None:
         op = payload["op"]
         req_id = payload.get("id")
-
-        def tag(response: Dict[str, Any]) -> Dict[str, Any]:
-            if req_id is not None:
-                response["id"] = req_id
-            return response
-
         if op == "ping":
-            await send(tag({
+            _reply(writer, req_id, {
                 "status": "ok",
                 "version": protocol.PROTOCOL_VERSION,
                 "draining": self._draining,
-            }))
+            })
         elif op == "stats":
-            await send(tag({"status": "ok", "stats": self.metrics_snapshot()}))
+            _reply(writer, req_id, {
+                "status": "ok", "stats": self.metrics_snapshot(),
+            })
         elif op == "query":
-            await send(tag(self._query(payload)))
+            _reply(writer, req_id, self._query(payload))
         elif op == "drain":
             summary = await self.drain()
-            await send(tag(summary))
+            _reply(writer, req_id, summary)
             self._shutdown.set()
         else:  # submit / release — through the batching pipeline
             immediate = self._admit(op, payload)
             if immediate is not None:
-                await send(tag(immediate))
-                return
-            future = asyncio.get_running_loop().create_future()
-            self._enqueue(op, payload, future)
-            task = asyncio.ensure_future(self._reply_later(future, send, tag))
-            self._replies.add(task)
-            task.add_done_callback(self._replies.discard)
-
-    async def _reply_later(self, future, send, tag) -> None:
-        try:
-            response = await future
-        except asyncio.CancelledError:
-            return
-        await send(tag(response))
+                _reply(writer, req_id, immediate)
+            else:
+                self._enqueue(op, payload, writer, req_id)
 
     # ------------------------------------------------------------------ #
     # admission control
@@ -626,9 +621,7 @@ class AllocationDaemon:
                 "job": spec.job_id,
                 "tenant": spec.tenant,
             }
-        backlog = len(self._waiting) + sum(
-            1 for o in self._pending if o.kind == "submit"
-        )
+        backlog = len(self._waiting) + self._pending_submits
         if backlog >= self.config.queue_limit:
             self.metrics.reject(protocol.REJECT_QUEUE_FULL)
             return {
@@ -643,13 +636,16 @@ class AllocationDaemon:
         payload["_spec"] = spec
         return None
 
-    def _enqueue(self, op: str, payload, future) -> None:
+    def _enqueue(self, op: str, payload, writer, req_id) -> None:
         if op == "submit":
             spec = payload.pop("_spec")
-            self._pending.append(_Op("submit", spec, spec.job_id, future))
+            self._pending.append(
+                _Op("submit", spec, spec.job_id, writer, req_id)
+            )
+            self._pending_submits += 1
         else:
             self._pending.append(
-                _Op("release", None, payload.get("job"), future)
+                _Op("release", None, payload.get("job"), writer, req_id)
             )
         self._work.set()
 
@@ -664,21 +660,31 @@ class AllocationDaemon:
     # batch dispatch
     # ------------------------------------------------------------------ #
     async def _dispatch_loop(self) -> None:
+        window = self.config.flush_window
+        loop = asyncio.get_running_loop()
         while True:
             await self._work.wait()
+            if window > 0:
+                # Coalesce while each loop tick brings new ops; the
+                # window bounds how long, it is never waited out.
+                deadline = loop.time() + window
+                seen = len(self._pending)
+                while loop.time() < deadline:
+                    await asyncio.sleep(0)
+                    if len(self._pending) == seen:
+                        break
+                    seen = len(self._pending)
             self._work.clear()
-            if not self._pending:
-                continue
-            if self.config.flush_window > 0:
-                # Coalesce: let the window's submits pile up, then
-                # dispatch them as one batch (one flush per shard).
-                await asyncio.sleep(self.config.flush_window)
             batch, self._pending = self._pending, []
-            self._run_batch(batch)
+            self._pending_submits = 0
+            if batch:
+                self._run_batch(batch)
 
     def _run_batch(self, batch: List[_Op]) -> None:
-        """One scheduler dispatch for every op the window collected."""
-        replies: List[Tuple[Any, Any]] = []  # (future, builder)
+        """One scheduler dispatch for every op the wake collected."""
+        # (op, response) — an allocation's ticket until the flush
+        # resolves its GPUs.
+        replies: List[Tuple[_Op, Any]] = []
         for op in batch:
             if op.kind == "submit":
                 self._batch_submit(op, replies)
@@ -692,21 +698,17 @@ class AllocationDaemon:
         self.metrics.peak_waiting = max(
             self.metrics.peak_waiting, len(self._waiting)
         )
-        for future, builder in replies:
-            if not future.done():
-                future.set_result(builder())
-
-    def _allocated_builder(self, op: _Op, ticket: _Ticket):
-        def build() -> Dict[str, Any]:
-            return {
-                "status": "allocated",
-                "job": op.job_id,
-                "server": ticket.server,
-                "gpus": list(ticket.gpus) if ticket.gpus is not None else None,
-                "scores": ticket.scores,
-            }
-
-        return build
+        for op, response in replies:
+            if isinstance(response, _Ticket):
+                response = {
+                    "status": "allocated",
+                    "job": op.job_id,
+                    "server": response.server,
+                    "gpus": list(response.gpus)
+                    if response.gpus is not None else None,
+                    "scores": response.scores,
+                }
+            _reply(op.writer, op.req_id, response)
 
     def _place(self, op: _Op, replies) -> bool:
         """Try one submit against the backend; ``False`` means no room."""
@@ -720,7 +722,7 @@ class AllocationDaemon:
             placed_at=time.monotonic() - self._epoch,
         )
         self.metrics.allocated += 1
-        replies.append((op.future, self._allocated_builder(op, ticket)))
+        replies.append((op, ticket))
         return True
 
     def _batch_submit(self, op: _Op, replies) -> None:
@@ -738,10 +740,7 @@ class AllocationDaemon:
         else:
             self._forget(op.job_id, op.spec.tenant, op.spec.num_gpus)
             self.metrics.noroom += 1
-            replies.append((
-                op.future,
-                lambda job=op.job_id: {"status": "noroom", "job": job},
-            ))
+            replies.append((op, {"status": "noroom", "job": op.job_id}))
 
     def _record_release(self, lease: _Lease) -> None:
         """Append one completed lease to the columnar service log.
@@ -781,44 +780,33 @@ class AllocationDaemon:
             self._forget(job_id, lease.tenant, lease.num_gpus)
             self._record_release(lease)
             self.metrics.released += 1
-            replies.append((
-                op.future,
-                lambda j=job_id, s=server, n=num_gpus: {
-                    "status": "released", "job": j, "server": s, "gpus": n,
-                },
-            ))
+            replies.append((op, {
+                "status": "released", "job": job_id,
+                "server": server, "gpus": num_gpus,
+            }))
             self._drain_waiting(replies)
             return
         waiter = next(
             (w for w in self._waiting if w.job_id == job_id), None
         )
         if waiter is not None:
-            # Cancel a still-queued submit: resolve both sides.
+            # Cancel a still-queued submit: answer both sides.
             self._waiting.remove(waiter)
             self._forget(job_id, waiter.spec.tenant, waiter.spec.num_gpus)
             self.metrics.canceled += 1
-            replies.append((
-                waiter.future,
-                lambda j=job_id: {
-                    "status": "rejected",
-                    "reason": protocol.REJECT_CANCELED,
-                    "job": j,
-                },
-            ))
-            replies.append((
-                op.future,
-                lambda j=job_id: {
-                    "status": "released", "job": j, "canceled": True,
-                },
-            ))
+            replies.append((waiter, {
+                "status": "rejected",
+                "reason": protocol.REJECT_CANCELED,
+                "job": job_id,
+            }))
+            replies.append((op, {
+                "status": "released", "job": job_id, "canceled": True,
+            }))
             return
         self.metrics.errors += 1
-        replies.append((
-            op.future,
-            lambda j=job_id: {
-                "status": "error", "reason": "unknown-job", "job": j,
-            },
-        ))
+        replies.append((op, {
+            "status": "error", "reason": "unknown-job", "job": job_id,
+        }))
 
     def _drain_waiting(self, replies) -> None:
         """After a release, serve the wait queue head-of-line."""
@@ -931,12 +919,11 @@ class AllocationDaemon:
             self._forget(op.job_id, op.spec.tenant, op.spec.num_gpus)
             self.metrics.reject(protocol.REJECT_DRAINING)
             rejected_waiting += 1
-            if not op.future.done():
-                op.future.set_result({
-                    "status": "rejected",
-                    "reason": protocol.REJECT_DRAINING,
-                    "job": op.job_id,
-                })
+            _reply(op.writer, op.req_id, {
+                "status": "rejected",
+                "reason": protocol.REJECT_DRAINING,
+                "job": op.job_id,
+            })
         # Grace period: clients may still release voluntarily.
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.config.drain_grace

@@ -324,6 +324,78 @@ class TestBatching:
             assert counters["batched_dispatches"] >= 1
             assert counters["max_batch"] >= 2
 
+    def test_lone_op_does_not_wait_out_the_window(self, serve):
+        """The flush window bounds coalescing; a lone submit is
+        dispatched on the next quiet loop tick, not after the window."""
+        socket_path, _ = serve(fleet="dgx1-v100:4", flush_window=0.5)
+        with AllocationClient(socket_path=socket_path) as client:
+            assert client.ping()["status"] == "ok"
+            start = time.monotonic()
+            response = client.submit("lone", 2)
+            elapsed = time.monotonic() - start
+            assert response["status"] == "allocated"
+            assert elapsed < 0.25, elapsed
+            assert client.stats()["counters"]["dispatches"] == 1
+
+    def test_stalled_reader_does_not_stall_other_clients(self, serve):
+        """A peer that pipelines submit/release pairs and never reads is
+        no longer read once its replies back up; other connections are
+        still answered, and stopping leaves no task behind."""
+        import socket
+
+        socket_path, handle = serve()
+        stalled = threading.Event()
+        errors = []
+
+        def flood(peer):
+            # Stalled = a send still blocks after a pause in which a
+            # daemon that kept reading would have emptied the socket.
+            peer.settimeout(0.2)
+            deadline = time.monotonic() + 10
+            blocked = 0
+            batch = 0
+            try:
+                while time.monotonic() < deadline:
+                    burst = b"".join(
+                        encode_line({"op": "submit", "job": f"s{batch}-{i}",
+                                     "gpus": 1, "wait": False})
+                        + encode_line({"op": "release",
+                                       "job": f"s{batch}-{i}"})
+                        for i in range(200)
+                    )
+                    batch += 1
+                    try:
+                        peer.sendall(burst)
+                        blocked = 0
+                    except socket.timeout:
+                        blocked += 1
+                        if blocked == 2:
+                            stalled.set()
+                            return
+                        time.sleep(0.5)
+                errors.append("the daemon kept reading a silent peer")
+            except OSError as exc:
+                errors.append(repr(exc))
+
+        peer = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        peer.connect(socket_path)
+        flooder = threading.Thread(target=flood, args=(peer,))
+        flooder.start()
+        try:
+            flooder.join(timeout=30)
+            assert not errors, errors
+            assert stalled.is_set()
+            with AllocationClient(socket_path=socket_path, timeout=1.0) as client:
+                start = time.monotonic()
+                assert client.ping()["status"] == "ok"
+                assert "counters" in client.stats()
+                assert time.monotonic() - start < 1.0
+            start = time.monotonic()
+            handle.stop(timeout=20)
+            assert time.monotonic() - start < 10
+        finally:
+            peer.close()
+
 
 class TestDrain:
     def test_graceful_drain_waits_for_releases(self, serve):
