@@ -40,6 +40,10 @@ NODE_POLICIES = ("first-fit", "pack", "spread", "best-score")
 #: memo is simply dropped and rebuilt).
 _DECISION_MEMO_CAP = 1 << 17
 
+#: First element of the first-fit decision memo's key in
+#: :attr:`ScanCache.aux <repro.scoring.memo.ScanCache.aux>`.
+DECISION_MEMO_TAG = "first-fit-decisions"
+
 
 class CandidateServerIndex:
     """Incremental index of servers by free-GPU count.
@@ -381,12 +385,18 @@ class ClusterPlacement:
 
 
 class MultiServerScheduler:
-    """A fleet of MAPA-managed servers behind one queue."""
+    """A fleet of MAPA-managed servers behind one queue.
+
+    ``gpu_policy`` is a name, resolved once with ``make_policy(name,
+    model, engine=, cache=scan_cache)``, or a policy instance, which
+    brings its own scan cache (``engine`` and ``scan_cache`` are then
+    ignored).  One instance serves every server.
+    """
 
     def __init__(
         self,
         servers: Sequence[HardwareGraph],
-        gpu_policy: str = "preserve",
+        gpu_policy: str | AllocationPolicy = "preserve",
         node_policy: str = "first-fit",
         model: EffectiveBandwidthModel = PAPER_MODEL,
         engine: str = "cached",
@@ -416,15 +426,16 @@ class MultiServerScheduler:
         # link-table sharing to scores.  Callers that replay the same
         # fleet repeatedly may pass their own cache to keep it warm
         # across runs (the fleet-scale benchmark's steady-state gate).
-        self.scan_cache: Optional[ScanCache] = (
-            (scan_cache if scan_cache is not None else ScanCache())
-            if engine == "cached"
-            else None
-        )
-        # Construction knobs retained for autoscale grow: add_server()
-        # builds the new engine exactly as __init__ does.
-        self._gpu_policy = gpu_policy
-        self._engine_kind = engine
+        if isinstance(gpu_policy, str):
+            if engine != "cached":
+                scan_cache = None
+            elif scan_cache is None:
+                scan_cache = ScanCache()
+            gpu_policy = make_policy(gpu_policy, model, engine=engine, cache=scan_cache)
+        else:
+            scan_cache = getattr(gpu_policy, "scan_cache", None)
+        self.policy: AllocationPolicy = gpu_policy
+        self.scan_cache: Optional[ScanCache] = scan_cache
         self.engines: List[Mapa] = [self._make_engine(hw) for hw in servers]
         # Fleet-dynamics membership: one status per engine ("up",
         # "failed" or "drained"), plus the construction-time fleet size
@@ -444,12 +455,15 @@ class MultiServerScheduler:
         # lives in its content-addressed ``aux`` side-car under a
         # policy/model fingerprint — the cache object is exactly what
         # callers thread through repeated replays, so decisions stay
-        # warm across runs just like scans do.
+        # warm across runs just like scans do.  A caller-built policy
+        # may carry a model of its own, so both models are named.
         if self.scan_cache is not None:
-            policy_type = type(self.engines[0].policy)
+            policy_type = type(self.policy)
+            policy_model = getattr(self.policy, "model", None)
             fingerprint = (
-                "first-fit-decisions",
+                DECISION_MEMO_TAG,
                 f"{policy_type.__module__}.{policy_type.__qualname__}",
+                policy_model.coefficients if policy_model is not None else None,
                 model.coefficients,
             )
             self._decision_memo: Dict[
@@ -504,17 +518,8 @@ class MultiServerScheduler:
         return sum(e.state.num_free for e in self.engines)
 
     def _make_engine(self, hardware: HardwareGraph) -> Mapa:
-        """One server's MAPA engine, on the fleet-shared scan cache."""
-        return Mapa(
-            hardware,
-            make_policy(
-                self._gpu_policy,
-                self.model,
-                engine=self._engine_kind,
-                cache=self.scan_cache,
-            ),
-            self.model,
-        )
+        """One server's MAPA engine, running the fleet's policy."""
+        return Mapa(hardware, self.policy, self.model)
 
     def can_ever_fit(self, request: AllocationRequest) -> bool:
         """Whether any (idle) server could host the request (O(1))."""
@@ -531,7 +536,7 @@ class MultiServerScheduler:
     def max_free_count(self) -> int:
         """Largest per-server free-GPU count, O(1) off the index.
 
-        The optional :class:`~repro.sim.core.PlacementBackend` hook the
+        The :class:`~repro.sim.core.PlacementBackend` hook the
         built-in disciplines use to reject doomed attempts on a
         saturated fleet without touching the placement path.  Failed
         and drained servers do not count.
@@ -678,11 +683,11 @@ class MultiServerScheduler:
     def add_server(self, hardware: HardwareGraph) -> int:
         """Autoscale grow: a new server joins, immediately schedulable.
 
-        The engine is built with the construction-time policy/model
-        knobs and the fleet-shared scan cache, so the newcomer's scans
-        land in (and hit) the same content-addressed entries as its
-        wiring twins.  Returns the new server index (always the highest:
-        membership history never renumbers incumbents).
+        The engine runs the fleet's policy on the fleet-shared scan
+        cache, so the newcomer's scans land in (and hit) the same
+        content-addressed entries as its wiring twins.  Returns the new
+        server index (always the highest: membership history never
+        renumbers incumbents).
         """
         engine = self._make_engine(hardware)
         self.engines.append(engine)

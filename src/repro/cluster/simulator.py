@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import Deque, Dict, List, Sequence
 
+from ..policies.base import AllocationPolicy
 from ..scoring.effective import EffectiveBandwidthModel, PAPER_MODEL
 from ..sim.core import PlacementRecord, SimulationCore
 from ..sim.disciplines import make_discipline
@@ -35,13 +36,15 @@ class MultiServerSimulator:
 
     ``scheduling`` selects the queue discipline by registry name; the
     default ``"fifo"`` mirrors the single-server (and paper) setup with
-    head-of-line blocking across the whole cluster.
+    head-of-line blocking across the whole cluster.  ``gpu_policy`` is
+    a policy name or instance (see
+    :class:`~repro.cluster.scheduler.MultiServerScheduler`).
     """
 
     def __init__(
         self,
         servers: Sequence[HardwareGraph],
-        gpu_policy: str = "preserve",
+        gpu_policy: str | AllocationPolicy = "preserve",
         node_policy: str = "first-fit",
         model: EffectiveBandwidthModel = PAPER_MODEL,
         scheduling: str = "fifo",
@@ -60,6 +63,8 @@ class MultiServerSimulator:
             scan_spill=scan_spill,
         )
         self.scheduling = scheduling
+        if not isinstance(gpu_policy, str):
+            gpu_policy = gpu_policy.name
         self.core = SimulationCore(
             backend=self.scheduler,
             discipline=make_discipline(scheduling),

@@ -19,7 +19,10 @@ infrastructure:
 
 The benchmarks' shared loops (``run_all_policies`` over the evaluation
 trace, the discipline/topology ablations) all route through here, and
-``mapa sweep`` exposes the same machinery on the command line.
+``mapa sweep`` exposes the same machinery on the command line.  Every
+cell is a one-server fleet: it places through the same
+:class:`~repro.cluster.scheduler.MultiServerScheduler` as a fleet
+replay.
 """
 
 from .presets import (

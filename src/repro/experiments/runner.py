@@ -7,8 +7,11 @@ processes.  :class:`SweepRunner` expands a spec, serves every cell it
 can from the :class:`~repro.experiments.store.ResultStore`, shards the
 remaining cells across workers, and returns a :class:`SweepOutcome`
 whose logs are indistinguishable from a direct
-:func:`repro.sim.cluster.run_all_policies` run.  Workers send each
-finished cell back as ``.mlog`` bytes over the pool pipe
+:func:`repro.sim.cluster.run_all_policies` run: a cell replays through
+:func:`repro.sim.cluster.run_policy`, a one-server fleet on the
+worker's shared scan cache, so the fleet's first-fit decision memo
+carries across a worker's cells along with its scans.  Workers send
+each finished cell back as ``.mlog`` bytes over the pool pipe
 (:mod:`repro.experiments.transport`); the parent writes those bytes to
 the store unchanged and decodes them lazily.
 
@@ -31,11 +34,12 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
+from ..cluster.scheduler import DECISION_MEMO_TAG
 from ..policies.registry import make_policy
 from ..scoring.effective import PAPER_MODEL
 from ..scoring.memo import ScanCache
 from ..scoring.regression import fit_for_hardware
-from ..sim.cluster import ClusterSimulator
+from ..sim.cluster import run_policy
 from ..sim.records import SimulationLog
 from ..topology.builders import by_name
 from .spec import CellConfig, ExperimentSpec
@@ -97,18 +101,22 @@ def _reset_spill_state() -> None:
     _spill_loaded.clear()
 
 
-def _worker_cache_probe(_token: int = 0) -> Tuple[int, int, int]:
-    """``(pid, cache entries, cache lookups)`` of the calling worker.
+def _worker_cache_probe(_token: int = 0) -> Tuple[int, int, int, int]:
+    """``(pid, cache entries, cache lookups, decision-memo entries)`` of
+    the calling worker.
 
     Module-level so a :class:`~concurrent.futures.ProcessPoolExecutor`
     can ship it; the pool-reuse regression test submits it before and
     after a sweep to prove the same worker processes — and therefore
-    their warm per-worker scan caches — survive consecutive
-    :meth:`SweepRunner.run` calls.  The unused ``_token`` argument only
-    defeats executor-level call coalescing.
+    their warm per-worker scan caches and decision memos — survive
+    consecutive :meth:`SweepRunner.run` calls.  The unused ``_token``
+    argument only defeats executor-level call coalescing.
     """
     cache = _worker_scan_cache()
-    return os.getpid(), len(cache.entries()), cache.stats.lookups
+    decisions = sum(
+        len(memo) for key, memo in cache.aux.items() if key[0] == DECISION_MEMO_TAG
+    )
+    return os.getpid(), len(cache.entries()), cache.stats.lookups, decisions
 
 
 def _pool_mp_context():
@@ -156,17 +164,16 @@ def simulate_cell(cell: CellConfig) -> CellResult:
         model = _refit_model(cell.topology, cell.fit_sizes)
     trace = cell.trace.build()
     policy = make_policy(cell.policy, model, cache=_warmed_scan_cache(hardware))
-    simulator = ClusterSimulator(
+    log = run_policy(
         hardware,
         policy,
+        trace,
         model,
         scheduling=cell.discipline,
-        # Scenario specs may carry a fleet-dynamics axis (hash-visible
-        # via trace.to_dict()); on a single-server cell only preemption
-        # has meaning, the fleet mutations no-op deterministically.
+        # Hash-visible via trace.to_dict(); run_policy keeps only its
+        # preemptions, the meaning a single-server cell has always had.
         dynamics=getattr(cell.trace, "dynamics", None),
     )
-    log = simulator.run(trace)
     spill = _worker_scan_spill()
     if spill is not None:
         spill.spill(_worker_scan_cache())

@@ -6,9 +6,7 @@ from .core import (
     PlacedJob,
     PlacementBackend,
     PlacementRecord,
-    SimPlacement,
     SimulationCore,
-    SingleServerBackend,
 )
 from .disciplines import (
     DISCIPLINE_NAMES,
@@ -17,7 +15,7 @@ from .disciplines import (
     make_discipline,
     register_discipline,
 )
-from .cluster import ClusterSimulator, run_all_policies, run_policy
+from .cluster import run_all_policies, run_policy
 from .metrics import (
     TABLE3_QUANTILES,
     PolicySummary,
@@ -43,15 +41,12 @@ __all__ = [
     "PlacedJob",
     "PlacementBackend",
     "PlacementRecord",
-    "SimPlacement",
     "SimulationCore",
-    "SingleServerBackend",
     "DISCIPLINE_NAMES",
     "DISCIPLINES",
     "QueueDiscipline",
     "make_discipline",
     "register_discipline",
-    "ClusterSimulator",
     "run_all_policies",
     "run_policy",
     "TABLE3_QUANTILES",

@@ -1,13 +1,14 @@
 """The MAPA simulation framework (paper Fig. 14), single-server front end.
 
-A thin wrapper over the unified :class:`~repro.sim.core.SimulationCore`:
-the dispatcher reads the job file into a queue, the configured
+A paper cell is a one-server fleet: :func:`run_policy` places through a
+:class:`~repro.cluster.scheduler.MultiServerScheduler` over one server,
+driven by the unified :class:`~repro.sim.core.SimulationCore` — the
+same backend, placement memos and event loop as every fleet replay.
+The dispatcher reads the job file into a queue, the configured
 :class:`~repro.sim.disciplines.QueueDiscipline` decides when queued jobs
 start (``"fifo"`` — the paper's head-of-line-blocking setup — by
 default), MAPA places each started job, and completions return GPUs to
-the pool ("Job Finished Signal").  The event loop itself lives in the
-core and is shared with the multi-server simulator
-(:class:`repro.cluster.MultiServerSimulator`).
+the pool ("Job Finished Signal").
 
 The logger records, per job, the allocation, its Aggregated Bandwidth,
 the Eq. 2 *predicted* effective bandwidth (the simulator's quality
@@ -17,72 +18,28 @@ the pair of columns behind the validation scatter of Fig. 15.
 
 from __future__ import annotations
 
-from typing import Deque, Dict, Optional
+from typing import Dict, Optional, Sequence, Tuple
 
-from ..allocator.mapa import Mapa
 from ..policies.base import AllocationPolicy
 from ..scoring.effective import EffectiveBandwidthModel, PAPER_MODEL
 from ..topology.hardware import HardwareGraph
-from ..workloads.jobs import Job, JobFile
-from .core import SimulationCore, SingleServerBackend
+from ..workloads.jobs import JobFile
+from .core import SimulationCore
 from .disciplines import make_discipline
-from .engine import EventEngine
 from .records import SimulationLog
 
 
-class ClusterSimulator:
-    """Single-server multi-tenant simulator.
+class _PreemptionsOnly:
+    """A dynamics spec's unchanged ``build`` stream, ``preempt`` events only."""
 
-    ``scheduling`` selects the queue discipline by registry name —
-    ``"fifo"`` (default, the paper's setup), ``"backfill"``, ``"sjf"``,
-    ``"easy-backfill"``, or anything registered via
-    :func:`repro.sim.disciplines.register_discipline`.
-    """
+    def __init__(self, spec) -> None:
+        self.spec = spec
+        self.casualty, self.victim = spec.casualty, spec.victim
+        self.is_empty = spec.is_empty
 
-    def __init__(
-        self,
-        hardware: HardwareGraph,
-        policy: AllocationPolicy,
-        model: EffectiveBandwidthModel = PAPER_MODEL,
-        scheduling: str = "fifo",
-        dynamics=None,
-    ) -> None:
-        self.hardware = hardware
-        self.policy = policy
-        self.scheduling = scheduling
-        self.mapa = Mapa(hardware, policy, model)
-        # ``dynamics`` (a repro.scenarios.dynamics.DynamicsSpec) flows
-        # through so dynamics-carrying scenarios sweep through single-
-        # server grid cells; on one server only preemption has meaning
-        # (fail/repair/autoscale are deterministic no-ops).
-        self.core = SimulationCore(
-            backend=SingleServerBackend(self.mapa),
-            discipline=make_discipline(scheduling),
-            log=SimulationLog(policy.name, hardware.name),
-            dynamics=dynamics,
-        )
-
-    # ------------------------------------------------------------------ #
-    def run(self, job_file: JobFile) -> SimulationLog:
-        """Simulate the whole trace and return the log."""
-        return self.core.run(job_file)
-
-    # Compatibility accessors (the pre-unification simulator exposed
-    # these directly; tests and notebooks still reach for them).
-    @property
-    def engine(self) -> EventEngine:
-        """The core's event queue."""
-        return self.core.engine
-
-    @property
-    def queue(self) -> Deque[Job]:
-        """Jobs waiting to start."""
-        return self.core.queue
-
-    @property
-    def log(self) -> SimulationLog:
-        """The completed-job log."""
-        return self.core.log
+    def build(self, topologies: Sequence[str]) -> Tuple[object, ...]:
+        """The spec's events, filtered: each keeps its time and victim rank."""
+        return tuple(e for e in self.spec.build(topologies) if e.action == "preempt")
 
 
 def run_policy(
@@ -91,9 +48,32 @@ def run_policy(
     job_file: JobFile,
     model: EffectiveBandwidthModel = PAPER_MODEL,
     scheduling: str = "fifo",
+    dynamics=None,
 ) -> SimulationLog:
-    """Convenience wrapper: simulate one policy over one trace."""
-    return ClusterSimulator(hardware, policy, model, scheduling).run(job_file)
+    """Simulate one policy over one trace on one server.
+
+    ``scheduling`` selects the queue discipline by registry name —
+    ``"fifo"`` (default, the paper's setup), ``"backfill"``, ``"sjf"``,
+    ``"easy-backfill"``, or anything registered via
+    :func:`repro.sim.disciplines.register_discipline`.  The log is
+    labelled ``(policy.name, hardware.name)``.
+
+    ``dynamics`` (a :class:`~repro.scenarios.dynamics.DynamicsSpec`)
+    lets dynamics-carrying scenarios sweep through single-server grid
+    cells.  Only its preemptions reach the core: a paper cell has
+    always read failures, repairs, drains and grows as no-ops on its one
+    server, and a cell's config hash does not see the backend, so acting
+    on them would silently change every stored dynamics cell.
+    """
+    from ..cluster.scheduler import MultiServerScheduler  # import cycle
+
+    core = SimulationCore(
+        backend=MultiServerScheduler([hardware], gpu_policy=policy, model=model),
+        discipline=make_discipline(scheduling),
+        log=SimulationLog(policy.name, hardware.name),
+        dynamics=None if dynamics is None else _PreemptionsOnly(dynamics),
+    )
+    return core.run(job_file)
 
 
 def run_all_policies(

@@ -1,16 +1,14 @@
 """The unified simulation core: one event loop, pluggable everything.
 
-Historically the single-server simulator (:mod:`repro.sim.cluster`) and
-the multi-server simulator (:mod:`repro.cluster.simulator`) each owned a
-copy of the same arrival/completion dispatch loop, and each grew its own
-queue disciplines.  This module is the single shared loop, parameterised
-on two axes:
+Every replay — the paper's single-server experiments
+(:mod:`repro.sim.cluster`) and fleet replays
+(:mod:`repro.cluster.simulator`) alike — runs this one loop,
+parameterised on two axes:
 
-* a :class:`PlacementBackend` — *where* jobs land.  The single-server
-  :class:`~repro.allocator.mapa.Mapa` engine (via
-  :class:`SingleServerBackend`) and the
-  :class:`~repro.cluster.scheduler.MultiServerScheduler` both satisfy
-  the protocol, so the same loop drives one DGX or a whole fleet;
+* a :class:`PlacementBackend` — *where* jobs land.  Production replays
+  place through :class:`~repro.cluster.scheduler.MultiServerScheduler`;
+  a paper cell is a one-server fleet, so the same loop and the same
+  placement memos drive one DGX or a whole fleet;
 * a :class:`~repro.sim.disciplines.QueueDiscipline` — *when* queued jobs
   start.  Disciplines drive the core through a small toolkit
   (:meth:`SimulationCore.place` / :meth:`~SimulationCore.commit` /
@@ -57,7 +55,6 @@ from typing import (
     runtime_checkable,
 )
 
-from ..allocator.mapa import Mapa
 from ..comm.microbench import peak_effective_bandwidth
 from ..policies.base import Allocation, AllocationRequest
 from ..topology.hardware import HardwareGraph
@@ -91,11 +88,11 @@ class Placement(Protocol):
 class PlacementBackend(Protocol):
     """What the simulation core needs from an allocator.
 
-    Implemented by :class:`SingleServerBackend` (one MAPA-managed
-    server) and :class:`~repro.cluster.scheduler.MultiServerScheduler`
-    (a fleet of them).  ``try_place`` must *commit* the returned
-    placement; ``release`` undoes it, both at completion time and when a
-    discipline aborts a speculative placement (EASY reservations).
+    Implemented by :class:`~repro.cluster.scheduler.MultiServerScheduler`
+    (a fleet of MAPA-managed servers; a paper cell is a one-server
+    fleet).  ``try_place`` must *commit* the returned placement;
+    ``release`` undoes it, both at completion time and when a discipline
+    aborts a speculative placement (EASY reservations).
 
     Releasing a job placed *last* must restore exactly the free state
     its ``try_place`` consumed, and placement decisions must depend on
@@ -104,89 +101,46 @@ class PlacementBackend(Protocol):
     placement does not void the core's futile-retry memo (see
     :meth:`SimulationCore.place`).
 
-    An optional ``max_free_count()`` hook returns the largest per-server
-    free-GPU count in O(1); disciplines fall back to
-    ``max(free_gpu_counts())`` when a backend lacks it.
+    The fleet hooks serve dynamics and EASY shadow times.  An optional
+    ``scan_cache_stats()`` feeds :meth:`SimulationCore.cache_stats`.
     """
 
     def can_ever_fit(self, request: AllocationRequest) -> bool:
         """Whether some server could host ``request`` even when idle."""
-        ...
 
     def try_place(self, request: AllocationRequest) -> Optional[Placement]:
         """Commit a placement for ``request``, or return ``None``."""
-        ...
 
     def release(self, job_id: Hashable) -> object:
         """Return a finished (or aborted) job's GPUs to the pool."""
-        ...
 
     def free_gpu_counts(self) -> Tuple[int, ...]:
         """Free GPUs per server, indexed by server."""
-        ...
 
     def hardware_for(self, server_index: int) -> HardwareGraph:
         """The hardware graph of one server."""
-        ...
-
-
-@dataclass(frozen=True)
-class SimPlacement:
-    """Single-server placement: always server 0."""
-
-    server_index: int
-    allocation: Allocation
-
-    @property
-    def gpus(self) -> Tuple[int, ...]:
-        """The GPUs the job received."""
-        return self.allocation.gpus
-
-
-class SingleServerBackend:
-    """Adapts a :class:`~repro.allocator.mapa.Mapa` engine to the
-    :class:`PlacementBackend` protocol."""
-
-    def __init__(self, mapa: Mapa) -> None:
-        self.mapa = mapa
-
-    def can_ever_fit(self, request: AllocationRequest) -> bool:
-        """Whether the request fits the (idle) server at all."""
-        return self.mapa.can_ever_fit(request)
-
-    def try_place(self, request: AllocationRequest) -> Optional[SimPlacement]:
-        """Run MAPA on the free GPUs; commit and wrap the allocation."""
-        allocation = self.mapa.try_allocate(request)
-        if allocation is None:
-            return None
-        return SimPlacement(server_index=0, allocation=allocation)
-
-    def release(self, job_id: Hashable) -> Tuple[int, ...]:
-        """Free a finished job's GPUs; returns them."""
-        return self.mapa.release(job_id)
-
-    def free_gpu_counts(self) -> Tuple[int, ...]:
-        """One-element tuple: free GPUs on the single server."""
-        return (self.mapa.state.num_free,)
 
     def max_free_count(self) -> int:
-        """Largest per-server free-GPU count (optional backend hook).
+        """Largest free-GPU count over up servers, in O(1): no job asking
+        for more GPUs can be placed (the disciplines' exact skip)."""
 
-        The built-in disciplines use it as an O(1) infeasibility bound:
-        a job requesting more GPUs than any server has free cannot be
-        placed, so its attempt is skipped without entering the
-        placement path at all.
-        """
-        return self.mapa.state.num_free
+    def server_status(self, server: int) -> str:
+        """``"up"``, ``"failed"`` or ``"drained"``."""
 
-    def hardware_for(self, server_index: int) -> HardwareGraph:
-        """The server's hardware graph (``server_index`` is always 0)."""
-        return self.mapa.hardware
+    def max_active_capacity(self, exclude: Optional[int] = None) -> int:
+        """Largest GPU capacity over up servers, optionally minus one."""
 
-    def scan_cache_stats(self):
-        """The policy's scan-cache counters (``None`` for uncached engines)."""
-        cache = getattr(self.mapa.policy, "scan_cache", None)
-        return cache.stats if cache is not None else None
+    def fail_server(self, server: int) -> List[Hashable]:
+        """Take a server down; returns its casualties in allocation order."""
+
+    def repair_server(self, server: int) -> bool:
+        """Bring a failed server back; ``False`` if it was not failed."""
+
+    def drain_server(self, server: int) -> bool:
+        """Stop placing on an up server; ``False`` if it was not up."""
+
+    def grow_server(self, topology: str) -> int:
+        """Add a server of ``topology``; returns its index."""
 
 
 @dataclass(frozen=True)
@@ -218,7 +172,7 @@ class SimulationCore:
     Parameters
     ----------
     backend:
-        Placement backend (single server or multi-server fleet).
+        Placement backend (a fleet of one or more servers).
     discipline:
         Queue discipline deciding which queued jobs start after each
         arrival, completion or fleet event (the event kind is
@@ -309,7 +263,7 @@ class SimulationCore:
         self._capacities: Tuple[int, ...] = ()
         self._all_up = True
         #: Scratch a queue discipline keeps between its passes over this
-        #: core (EASY's last-pass summary, FIFO's max-free probe); owned
+        #: core (EASY's last-pass summary); owned
         #: by the run, so a discipline instance reused for another run
         #: starts clean.
         self.discipline_state: Optional[object] = None
@@ -407,24 +361,18 @@ class SimulationCore:
     def _apply_fleet_event(self, event: object) -> None:
         """Apply one fleet mutation to the backend, casualty-aware.
 
-        Backends advertise dynamics capabilities by method presence
-        (``fail_server`` / ``repair_server`` / ``drain_server`` /
-        ``grow_server`` on the multi-server scheduler); an action the
-        backend cannot express is a deterministic no-op, so a dynamics-
-        carrying scenario still sweeps through single-server grid
-        cells (where only preemption has meaning).  The release-epoch
-        bump on repair/grow/preempt is load-bearing: those are the only
-        fleet mutations that *improve* placement feasibility, which the
-        futile-retry memo otherwise assumes only releases do.
+        The release-epoch bump on repair/grow/preempt is load-bearing:
+        those are the only fleet mutations that *improve* placement
+        feasibility, which the futile-retry memo otherwise assumes only
+        releases do.
         """
         backend = self.backend
         action = event.action
         self._capacities = ()  # a server may have gone down or come up
         if action == "fail":
-            fail = getattr(backend, "fail_server", None)
-            if fail is None or not self._retire_allowed(event.server):
+            if not self._retire_allowed(event.server):
                 return
-            casualties = fail(event.server)
+            casualties = backend.fail_server(event.server)
             self._timeline_key = None
             requeue: List[Job] = []
             for job_id in casualties:
@@ -437,18 +385,14 @@ class SimulationCore:
                 # earliest-placed casualty is the next head.
                 self.queue.extendleft(reversed(requeue))
         elif action == "repair":
-            repair = getattr(backend, "repair_server", None)
-            if repair is not None and repair(event.server):
+            if backend.repair_server(event.server):
                 self._release_epoch += 1
         elif action == "remove":
-            drain = getattr(backend, "drain_server", None)
-            if drain is not None and self._retire_allowed(event.server):
-                drain(event.server)
+            if self._retire_allowed(event.server):
+                backend.drain_server(event.server)
         elif action == "add":
-            grow = getattr(backend, "grow_server", None)
-            if grow is not None:
-                grow(event.topology)
-                self._release_epoch += 1
+            backend.grow_server(event.topology)
+            self._release_epoch += 1
         elif action == "preempt":
             self._preempt(event)
         else:  # pragma: no cover - defensive
@@ -457,10 +401,9 @@ class SimulationCore:
     def _retire_allowed(self, server: int) -> bool:
         """Deadlock guard for fail/remove: the remaining up servers must
         still be able to host the trace's largest request."""
-        probe = getattr(self.backend, "max_active_capacity", None)
-        if probe is None:  # pragma: no cover - defensive
-            return False
-        return probe(exclude=server) >= self._max_request
+        return (
+            self.backend.max_active_capacity(exclude=server) >= self._max_request
+        )
 
     def _preempt(self, event: object) -> None:
         """Evict one running job (victim policy) and requeue it (back)."""
@@ -599,8 +542,8 @@ class SimulationCore:
         """Snapshot of this run's cache counters.
 
         Combines the backend's scan-cache stats (when the backend
-        exposes ``scan_cache_stats()`` — the multi-server scheduler and
-        the single-server backend both do) with the core's
+        exposes ``scan_cache_stats()``, as the multi-server scheduler
+        does) with the core's
         measured-bandwidth memo counters.  Scan counters are reported
         relative to the snapshot taken when :meth:`run` started, so a
         cache kept warm across replays yields *per-run* figures — the
@@ -722,19 +665,16 @@ class SimulationCore:
 
         Counts GPUs only (a reservation cannot see intra-server
         fragmentation); exact completion times are known in simulation.
-        Only servers that are up count (per the backend's optional
-        ``server_status``): a failed or drained server takes no
-        placement, whatever it has free.
+        Only servers that are up count: a failed or drained server takes
+        no placement, whatever it has free.
         """
         backend = self.backend
         frees = backend.free_gpu_counts()
         capacities = self._capacities
         if len(capacities) != len(frees):
-            status = getattr(backend, "server_status", None)
+            status = backend.server_status
             capacities = self._capacities = tuple(
-                backend.hardware_for(i).num_gpus
-                if status is None or status(i) == "up"
-                else 0
+                backend.hardware_for(i).num_gpus if status(i) == "up" else 0
                 for i in range(len(frees))
             )
             self._all_up = 0 not in capacities

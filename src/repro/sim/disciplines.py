@@ -67,19 +67,6 @@ COMPLETION = "completion"
 FLEET = "fleet"
 
 
-def _max_free_probe(backend: object) -> Callable[[], int]:
-    """The backend's largest per-server free-GPU count, as a callable.
-
-    The O(1) ``max_free_count`` hook where the backend has one, else
-    ``max(free_gpu_counts())``.  No job asking for more GPUs than this
-    can be placed.
-    """
-    probe = getattr(backend, "max_free_count", None)
-    if probe is None:
-        return lambda: max(backend.free_gpu_counts())
-    return probe
-
-
 class QueueDiscipline(abc.ABC):
     """Strategy deciding which queued jobs start after each event."""
 
@@ -124,9 +111,7 @@ class FifoDiscipline(QueueDiscipline):
         queue = core.queue
         if core.cause == ARRIVAL and len(queue) > 1:
             return
-        max_free_count = core.discipline_state  # the run's probe
-        if max_free_count is None:
-            max_free_count = core.discipline_state = _max_free_probe(core.backend)
+        max_free_count = core.backend.max_free_count
         while queue:
             head = queue[0]
             if head.num_gpus > max_free_count() or not core.try_start(head):
@@ -141,7 +126,7 @@ class BackfillDiscipline(QueueDiscipline):
 
     def schedule(self, core: "SimulationCore") -> None:
         """Try every queued job in arrival order, keep what will not fit."""
-        max_free_count = _max_free_probe(core.backend)
+        max_free_count = core.backend.max_free_count
         max_free = max_free_count()
         queue = core.queue
         still: Deque["Job"] = deque()
@@ -169,7 +154,7 @@ class ShortestJobFirstDiscipline(QueueDiscipline):
 
     def schedule(self, core: "SimulationCore") -> None:
         """Try queued jobs shortest-estimate first, arrival order on ties."""
-        max_free_count = _max_free_probe(core.backend)
+        max_free_count = core.backend.max_free_count
         max_free = max_free_count()
         if not max_free:
             return
@@ -252,7 +237,7 @@ class EasyBackfillDiscipline(QueueDiscipline):
 
     def schedule(self, core: "SimulationCore") -> None:
         """Start what fits, reserve for the head, backfill behind it."""
-        max_free_count = _max_free_probe(core.backend)
+        max_free_count = core.backend.max_free_count
         queue = core.queue
         last = core.discipline_state
         core.discipline_state = None

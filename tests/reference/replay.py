@@ -222,18 +222,12 @@ class ReferenceScheduler(MultiServerScheduler):
 
     No first-fit fast path and no decision memo: every placement walks
     the node policy's candidate order and runs MAPA on each server
-    until one commits.  Engines are :class:`ReferenceMapa`.  With
-    ``engine="scalar"`` their policies run the one-match-at-a-time walk
-    of :mod:`reference.scan` instead of a scan source.
+    until one commits.  Engines are :class:`ReferenceMapa`.
     """
 
     def _make_engine(self, hardware: HardwareGraph) -> Mapa:
-        """A from-scratch-scoring engine on the fleet's scan cache."""
-        if self._engine_kind == "scalar":
-            policy = scalar_policy(self._gpu_policy, self.model)
-        else:
-            policy = super()._make_engine(hardware).policy
-        return ReferenceMapa(hardware, policy, self.model)
+        """A from-scratch-scoring engine running the fleet's policy."""
+        return ReferenceMapa(hardware, self.policy, self.model)
 
     def try_place(self, request: AllocationRequest) -> Optional[ClusterPlacement]:
         """Place a job on the first candidate server that takes it."""
@@ -306,14 +300,20 @@ def reference_core(
     dynamics=None,
 ) -> ReferenceCore:
     """A reference core over a fresh fleet, shaped like
-    :class:`repro.cluster.MultiServerSimulator` (same log names)."""
+    :class:`repro.cluster.MultiServerSimulator` (same log names).
+
+    ``engine="scalar"`` hands the fleet the policy's one-match-at-a-time
+    twin from :mod:`reference.scan` instead of a scan source.
+    """
     discipline = make_discipline(scheduling)
     if discipline.name in REFERENCE_BODIES:
         discipline = REFERENCE_BODIES[discipline.name]()
     return ReferenceCore(
         ReferenceScheduler(
             servers,
-            gpu_policy=gpu_policy,
+            gpu_policy=(
+                scalar_policy(gpu_policy, model) if engine == "scalar" else gpu_policy
+            ),
             node_policy=node_policy,
             model=model,
             engine=engine,

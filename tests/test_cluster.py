@@ -239,3 +239,51 @@ class TestFleetScanCache:
         assert stats["scan_misses"] == 0
         if stats["scan_lookups"]:
             assert stats["scan_hit_rate"] == 1.0
+
+
+class TestPolicyInstances:
+    """``gpu_policy`` may be an instance; decisions stay keyed soundly."""
+
+    @pytest.fixture(scope="class")
+    def refit(self):
+        from repro.scoring.regression import fit_for_hardware
+
+        model, _, _ = fit_for_hardware(dgx1_v100())
+        return model
+
+    @staticmethod
+    def _log(policy, model, trace):
+        from repro.cluster import MultiServerSimulator
+
+        sim = MultiServerSimulator([dgx1_v100()], gpu_policy=policy, model=model)
+        return sim.run(trace).to_dict()
+
+    def test_instance_brings_its_own_cache(self):
+        from repro.policies.registry import make_policy
+
+        policy = make_policy("preserve")
+        sched = MultiServerScheduler([dgx1_v100(), dgx1_v100()], gpu_policy=policy)
+        assert sched.scan_cache is policy.scan_cache
+        assert {id(e.policy) for e in sched.engines} == {id(policy)}
+        baseline = MultiServerScheduler([dgx1_v100()], gpu_policy=make_policy("baseline"))
+        assert baseline.scan_cache is None
+
+    def test_models_of_shared_cache_instances_do_not_mix(self, refit):
+        """Two Preserve instances on one cache, annotated by one model,
+        must each replay as they do on a private cache."""
+        from repro.policies.preserve import PreservePolicy
+        from repro.scoring.effective import PAPER_MODEL
+        from repro.scoring.memo import ScanCache
+
+        trace = generate_job_file(60, seed=3, max_gpus=5)
+        models = {"paper": PAPER_MODEL, "refit": refit}
+        private = {
+            name: self._log(PreservePolicy(model), refit, trace)
+            for name, model in models.items()
+        }
+        assert private["paper"] != private["refit"]  # the case has teeth
+        for order in (("paper", "refit"), ("refit", "paper")):
+            cache = ScanCache()
+            for name in order:
+                policy = PreservePolicy(models[name], cache=cache)
+                assert self._log(policy, refit, trace) == private[name]

@@ -7,8 +7,8 @@ any server, jobs whose runtime lower bound overruns the shadow time, and
 rejected on their exact execution time.  Each skip is claimed
 to be exact, so a replay must be byte-identical to the reference body in
 ``tests/reference/easy_backfill.py``, which places every queued job and
-commits or aborts.  The cases cover both backends, every node policy,
-the production core and the memo-free reference core
+commits or aborts.  The cases cover one-server and larger fleets, every
+node policy, the production core and the memo-free reference core
 (``tests/reference/replay.py``), the one non-monotone case, and a
 discipline instance reused across runs; the last checks hold the core's
 kept completion timeline to a from-scratch shadow time under fleet
@@ -20,10 +20,8 @@ import json
 import pytest
 
 from reference.easy_backfill import ReferenceEasyBackfill, reference_earliest_fit_time
-from reference.replay import ReferenceCore, ReferenceMapa, canonical, reference_core
-from repro.allocator.mapa import Mapa
+from reference.replay import canonical, reference_core
 from repro.cluster import MultiServerSimulator
-from repro.policies.registry import make_policy
 from repro.scenarios import (
     DynamicsSpec,
     FleetEvent,
@@ -33,28 +31,14 @@ from repro.scenarios import (
     paper_mix,
 )
 from repro.scoring.memo import ScanCache
-from repro.sim.core import SimulationCore, SingleServerBackend
 from repro.sim.disciplines import (
     EasyBackfillDiscipline,
     FifoDiscipline,
     make_discipline,
 )
-from repro.sim.records import SimulationLog
 from repro.topology.builders import by_name
 from repro.workloads.generator import generate_job_file
 from repro.workloads.jobs import Job, JobFile
-
-
-def _single_server(topology, trace, discipline, production_core, cache):
-    hardware = by_name(topology)
-    log = SimulationLog("preserve", topology)
-    if production_core:
-        mapa = Mapa(hardware, make_policy("preserve", cache=cache))
-        core = SimulationCore(SingleServerBackend(mapa), discipline, log)
-    else:
-        mapa = ReferenceMapa(hardware, make_policy("preserve"))
-        core = ReferenceCore(SingleServerBackend(mapa), discipline, log)
-    return canonical(core.run(trace))
 
 
 def _fleet(servers, trace, discipline, cache, node_policy="first-fit",
@@ -93,8 +77,10 @@ def _fleet_trace(fleet, num_jobs, seed, rate):
 def test_single_server_matches_reference(topology, production_core, seed, max_gpus):
     trace = generate_job_file(40, max_gpus=max_gpus, seed=seed, arrival_rate=0.05)
     cache = ScanCache()
-    fast = _single_server(topology, trace, EasyBackfillDiscipline(), production_core, cache)
-    ref = _single_server(topology, trace, ReferenceEasyBackfill(), production_core, cache)
+    fast = _fleet([by_name(topology)], trace, EasyBackfillDiscipline(), cache,
+                  production_core=production_core)
+    ref = _fleet([by_name(topology)], trace, ReferenceEasyBackfill(), cache,
+                 production_core=production_core)
     assert fast == ref
 
 

@@ -1,5 +1,7 @@
 """Integration tests for the parallel, cache-backed sweep runner."""
 
+import time
+
 import pytest
 
 from repro.experiments import (
@@ -9,6 +11,7 @@ from repro.experiments import (
     TraceSpec,
     run_experiment,
 )
+from repro.experiments.runner import _worker_cache_probe
 from repro.scoring.regression import fit_for_hardware
 from repro.sim.cluster import run_all_policies
 
@@ -111,3 +114,106 @@ class TestCellList:
         assert outcome.spec is None
         assert outcome.num_cells == 2
         assert all(c in outcome.results for c in cells)
+
+
+def _paced_cache_probe(token: int):
+    """A briefly-sleeping cache probe, so every pool worker answers one.
+
+    An instant probe lets one fast worker drain the whole map and the
+    other worker go unsampled; the pause keeps it busy long enough for
+    its sibling to pick up the next probe from the call queue.
+    """
+    time.sleep(0.05)
+    return _worker_cache_probe(token)
+
+
+class TestSweepRunnerPoolReuse:
+    def test_workers_and_caches_survive_consecutive_runs(self):
+        spec = ExperimentSpec(
+            name="pool-reuse",
+            policies=("baseline", "preserve"),
+            disciplines=("fifo",),
+            trace=TraceSpec(num_jobs=8),
+        )
+        with SweepRunner(jobs=2) as runner:
+            first = runner.run(spec)
+            pool = runner._pool
+            assert pool is not None
+            probes1 = {p[0]: p for p in pool.map(_paced_cache_probe, range(4))}
+            second = runner.run(spec)
+            assert runner._pool is pool  # same executor, no churn
+            probes2 = {p[0]: p for p in pool.map(_paced_cache_probe, range(4))}
+        assert len(probes1) == 2  # both workers answered the probe
+        assert set(probes2) == set(probes1)  # same worker processes
+        # The preserve cell left warm scans and first-fit decisions in
+        # whichever worker ran it.  A worker that re-runs it answers
+        # every placement from its decision memo (no new scan lookup),
+        # so lookups need not grow; what must hold is that no worker's
+        # warm state was reset — a churned pool restarts it at zero.
+        assert sum(p[1] for p in probes1.values()) > 0
+        assert sum(p[3] for p in probes1.values()) > 0
+        for pid, (_, entries, lookups, decisions) in probes1.items():
+            _, entries2, lookups2, decisions2 = probes2[pid]
+            assert entries2 >= entries
+            assert lookups2 >= lookups
+            assert decisions2 >= decisions
+        for cell, result in first.results.items():
+            assert second.results[cell].log.to_dict() == result.log.to_dict()
+
+    def test_pool_rebuilt_when_jobs_change(self):
+        runner = SweepRunner(jobs=2)
+        first = runner._ensure_pool()
+        assert runner._ensure_pool() is first
+        runner.jobs = 3
+        second = runner._ensure_pool()
+        assert second is not first
+        runner.close()
+        runner.close()  # idempotent
+        assert runner._pool is None
+
+
+#: ``to_dict()`` digests of the dynamics-bearing paper cells below, as
+#: the single-server simulator produced them before paper cells became
+#: one-server fleets: a cell's config hash does not see the backend, so
+#: a changed meaning would leave every stored cell stale.
+DYNAMICS_CELL_DIGESTS = {
+    "dgx1-v100/baseline/fifo": "6aec4abec4a4",
+    "dgx1-v100/baseline/easy-backfill": "02e4ef859c9a",
+    "dgx1-v100/preserve/fifo": "3094e519b5c0",
+    "dgx1-v100/preserve/easy-backfill": "d0a49bdd7172",
+    "dgx1-v100/greedy/fifo": "a66164ecec03",
+    "dgx1-v100/greedy/easy-backfill": "26a7a44d676d",
+    "dgx2/baseline/fifo": "681842d4e57b",
+    "dgx2/baseline/easy-backfill": "eb5762df5199",
+    "dgx2/preserve/fifo": "6d535c8f790d",
+    "dgx2/preserve/easy-backfill": "4c8d6d769c18",
+    "dgx2/greedy/fifo": "86f74ea987af",
+    "dgx2/greedy/easy-backfill": "1c8fff8a79cb",
+}
+
+
+def test_dynamics_bearing_paper_cells_keep_their_meaning():
+    """On one server only preemptions act; fail/repair/drain/grow do not."""
+    import hashlib
+    import json
+
+    from repro.experiments import CellConfig, simulate_cell
+    from repro.scenarios import DynamicsSpec, PoissonArrivals, ScenarioSpec
+
+    scenario = ScenarioSpec(
+        num_jobs=200,
+        seed=4,
+        arrival=PoissonArrivals(5.0),
+        dynamics=DynamicsSpec(
+            horizon=40.0, failures=3, shrinks=2, grows=3, preemptions=6
+        ),
+    )
+    digests = {}
+    for key in DYNAMICS_CELL_DIGESTS:
+        topology, policy, discipline = key.split("/")
+        cell = CellConfig(topology, policy, discipline, scenario)
+        payload = json.dumps(
+            simulate_cell(cell).log.to_dict(), sort_keys=True, default=str
+        )
+        digests[key] = hashlib.sha256(payload.encode()).hexdigest()[:12]
+    assert digests == DYNAMICS_CELL_DIGESTS

@@ -18,12 +18,11 @@ import sys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.allocator.mapa import Mapa
 from repro.appgraph import patterns
 from repro.cluster import MultiServerScheduler
 from repro.policies.base import AllocationRequest
 from repro.policies.registry import POLICY_NAMES, make_policy
-from repro.sim.core import SimulationCore, SingleServerBackend
+from repro.sim.core import SimulationCore
 from repro.sim.disciplines import make_discipline
 from repro.sim.records import SimulationLog
 from repro.topology.builders import by_name
@@ -55,9 +54,9 @@ def _core(backend):
 )
 @settings(max_examples=300, deadline=None)
 def test_runtime_estimate_bounds_every_exec_time(workload, num_gpus, bandwidth):
-    mapa = Mapa(by_name("dgx1-v100"), make_policy("baseline"))
+    scheduler = MultiServerScheduler([by_name("dgx1-v100")], gpu_policy="baseline")
     job = Job(1, workload, num_gpus, "ring", True)
-    estimate = _core(SingleServerBackend(mapa)).runtime_estimate(job)
+    estimate = _core(scheduler).runtime_estimate(job)
     spec = job.workload_spec()
     # place() runs one-GPU jobs at infinite bandwidth, the rest at the
     # placement's measured bandwidth.
@@ -126,15 +125,18 @@ def test_place_then_abort_restores_the_fleet(node_policy, gpu_policy, started, p
 )
 @settings(max_examples=40, deadline=None)
 def test_place_then_abort_restores_one_server(gpu_policy, started, probe):
-    mapa = Mapa(by_name("dgx1-v100"), make_policy(gpu_policy))
-    core = _core(SingleServerBackend(mapa))
+    scheduler = MultiServerScheduler(
+        [by_name("dgx1-v100")], gpu_policy=make_policy(gpu_policy)
+    )
+    core = _core(scheduler)
     for job_id, spec in enumerate(started):
         core.try_start(_job(job_id, spec))
-    before = _snapshot(core, [mapa])
+    before = _snapshot(core, scheduler.engines)
     placed = core.place(_job(len(started), probe))
     if placed is not None:
         core.abort(placed)
-    assert _snapshot(core, [mapa]) == before
+    assert _snapshot(core, scheduler.engines) == before
+    scheduler.check_index()
 
 
 # ---------------------------------------------------------------------- #

@@ -27,20 +27,7 @@ from repro.cluster import (
     run_sharded,
 )
 from repro.cluster import sharding as sharding_mod
-from repro.experiments.runner import SweepRunner, _worker_cache_probe
-from repro.experiments.spec import ExperimentSpec, TraceSpec
 from repro.scenarios import MMPPArrivals, ScenarioSpec, mixed_fleet, paper_mix
-
-
-def _paced_cache_probe(token: int):
-    """A briefly-sleeping cache probe, so every pool worker answers one.
-
-    An instant probe lets one fast worker drain the whole map and the
-    other worker go unsampled; the pause keeps it busy long enough for
-    its sibling to pick up the next probe from the call queue.
-    """
-    time.sleep(0.05)
-    return _worker_cache_probe(token)
 
 
 def _digest(log) -> str:
@@ -250,39 +237,3 @@ class TestCacheStatsAggregation:
         )
         # the digest-relevant payload ignores cache_stats entirely
         assert "cache_stats" not in log.to_dict()
-
-
-class TestSweepRunnerPoolReuse:
-    def test_workers_and_caches_survive_consecutive_runs(self):
-        spec = ExperimentSpec(
-            name="pool-reuse",
-            policies=("baseline", "preserve"),
-            disciplines=("fifo",),
-            trace=TraceSpec(num_jobs=8),
-        )
-        with SweepRunner(jobs=2) as runner:
-            runner.run(spec)
-            pool = runner._pool
-            assert pool is not None
-            probes1 = {p[0]: p for p in pool.map(_paced_cache_probe, range(4))}
-            runner.run(spec)
-            assert runner._pool is pool  # same executor, no churn
-            probes2 = {p[0]: p for p in pool.map(_paced_cache_probe, range(4))}
-        assert len(probes1) == 2  # both workers answered the probe
-        assert set(probes2) == set(probes1)  # same worker processes
-        lookups1 = sum(lookups for _, _, lookups in probes1.values())
-        lookups2 = sum(lookups for _, _, lookups in probes2.values())
-        # the second run re-simulated through the surviving warm caches
-        # (a churned pool would restart both counters at zero)
-        assert lookups2 > lookups1 > 0
-
-    def test_pool_rebuilt_when_jobs_change(self):
-        runner = SweepRunner(jobs=2)
-        first = runner._ensure_pool()
-        assert runner._ensure_pool() is first
-        runner.jobs = 3
-        second = runner._ensure_pool()
-        assert second is not first
-        runner.close()
-        runner.close()  # idempotent
-        assert runner._pool is None

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.policies.registry import make_policy
-from repro.sim.cluster import ClusterSimulator, run_policy
+from repro.sim.cluster import run_policy
 from repro.workloads.generator import generate_job_file
 from repro.workloads.jobs import Job, JobFile
 
@@ -11,7 +11,7 @@ from repro.workloads.jobs import Job, JobFile
 class TestBackfill:
     def test_unknown_discipline_rejected(self, dgx):
         with pytest.raises(ValueError):
-            ClusterSimulator(dgx, make_policy("baseline"), scheduling="lifo")
+            run_policy(dgx, make_policy("baseline"), JobFile([]), scheduling="lifo")
 
     def test_backfill_completes_all_jobs(self, dgx):
         trace = generate_job_file(40, seed=6)

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.cluster import MultiServerSimulator
 from repro.policies.registry import make_policy
-from repro.sim.cluster import ClusterSimulator, run_all_policies, run_policy
+from repro.sim.cluster import run_all_policies, run_policy
 from repro.workloads.generator import generate_job_file
 from repro.workloads.jobs import Job, JobFile
 
@@ -21,15 +22,14 @@ class TestBasicRuns:
         assert logged_ids == {j.job_id for j in small_trace}
 
     def test_state_fully_released(self, dgx, small_trace):
-        sim = ClusterSimulator(dgx, make_policy("baseline"))
+        sim = MultiServerSimulator([dgx], gpu_policy=make_policy("baseline"))
         sim.run(small_trace)
-        assert sim.mapa.state.num_free == dgx.num_gpus
+        assert sim.scheduler.total_free == dgx.num_gpus
 
     def test_oversize_job_rejected(self, dgx):
         jf = JobFile([Job(1, "vgg-16", 9, "ring", True)])
-        sim = ClusterSimulator(dgx, make_policy("baseline"))
         with pytest.raises(ValueError):
-            sim.run(jf)
+            run_policy(dgx, make_policy("baseline"), jf)
 
     def test_deterministic(self, dgx, small_trace):
         l1 = run_policy(dgx, make_policy("greedy"), small_trace)

@@ -5,8 +5,8 @@ import pytest
 from repro.cluster import MultiServerSimulator, run_cluster
 from repro.policies.base import Allocation
 from repro.policies.registry import make_policy
-from repro.sim.core import PlacementBackend, SimulationCore, SingleServerBackend
-from repro.sim.cluster import ClusterSimulator, run_policy
+from repro.sim.core import PlacementBackend, SimulationCore
+from repro.sim.cluster import run_policy
 from repro.sim.disciplines import (
     DISCIPLINE_NAMES,
     QueueDiscipline,
@@ -16,6 +16,18 @@ from repro.sim.disciplines import (
 from repro.topology.builders import dgx1_v100, summit_node
 from repro.workloads.generator import generate_job_file
 from repro.workloads.jobs import Job, JobFile
+
+
+#: The hooks every placement backend must now implement (no fallback).
+FLEET_HOOKS = (
+    "fail_server",
+    "repair_server",
+    "drain_server",
+    "grow_server",
+    "max_active_capacity",
+    "server_status",
+    "max_free_count",
+)
 
 
 def _timeline(log):
@@ -74,7 +86,7 @@ class TestDisciplineRegistry:
         with pytest.raises(ValueError):
             make_discipline("lifo")
         with pytest.raises(ValueError):
-            ClusterSimulator(dgx, make_policy("baseline"), scheduling="lifo")
+            run_policy(dgx, make_policy("baseline"), JobFile([]), scheduling="lifo")
         with pytest.raises(ValueError):
             MultiServerSimulator([dgx1_v100()], scheduling="lifo")
 
@@ -203,16 +215,37 @@ class TestEasyBackfill:
 
 class TestBackendProtocol:
     def test_both_backends_satisfy_protocol(self, dgx):
-        from repro.allocator.mapa import Mapa
         from repro.cluster.scheduler import MultiServerScheduler
+        from repro.cluster.sharding import ShardedFleetScheduler
 
-        single = SingleServerBackend(Mapa(dgx, make_policy("baseline")))
+        single = MultiServerScheduler([dgx], gpu_policy=make_policy("baseline"))
         multi = MultiServerScheduler([dgx1_v100(), summit_node()])
         for backend in (single, multi):
             assert isinstance(backend, PlacementBackend)
+        # The sharded scheduler runs under its own simulator loop, not
+        # the core, but implements every fleet hook the protocol
+        # requires (checked on the class: an instance forks workers).
+        for hook in FLEET_HOOKS:
+            assert callable(getattr(PlacementBackend, hook))
+            assert callable(getattr(ShardedFleetScheduler, hook))
         assert single.free_gpu_counts() == (8,)
         assert multi.free_gpu_counts() == (8, 6)
         assert multi.hardware_for(1).num_gpus == 6
+
+    def test_fleet_hooks_are_required(self):
+        """A backend without the fleet hooks is not a PlacementBackend."""
+
+        class PlacementOnly:
+            def can_ever_fit(self, request): ...
+            def try_place(self, request): ...
+            def release(self, job_id): ...
+            def free_gpu_counts(self): ...
+            def hardware_for(self, server_index): ...
+
+        assert not isinstance(PlacementOnly(), PlacementBackend)
+        for hook in FLEET_HOOKS:
+            setattr(PlacementOnly, hook, lambda self, *args, **kw: None)
+        assert isinstance(PlacementOnly(), PlacementBackend)
 
     def test_core_tracks_placements_per_server(self):
         trace = generate_job_file(30, seed=2)
@@ -231,7 +264,7 @@ class TestDeprecationAndHygiene:
             run_cluster([dgx], JobFile([]), core="object")
         with pytest.raises(TypeError):
             SimulationCore(
-                SingleServerBackend(Mapa(dgx, make_policy("baseline"))),
+                MultiServerScheduler([dgx], gpu_policy="baseline"),
                 make_discipline("fifo"),
                 None,
                 columnar=False,
@@ -240,6 +273,27 @@ class TestDeprecationAndHygiene:
             Mapa(dgx, make_policy("baseline"), annotate_memo="combined")
         with pytest.raises(TypeError):
             MultiServerScheduler([dgx], fast_paths=False)
+
+    def test_single_server_backend_is_gone(self):
+        """A paper cell is a one-server fleet: ``repro.sim`` exports no
+        single-server backend, placement type or simulator class."""
+        import repro.sim
+        import repro.sim.cluster
+        import repro.sim.core
+
+        exported = set(repro.sim.__all__)
+        assert {n for n in exported if n.endswith("Backend")} == {"PlacementBackend"}
+        assert {n for n in exported if "Placement" in n} == {
+            "PlacementBackend",
+            "PlacementRecord",
+        }
+        assert not {n for n in exported if n.endswith("Simulator")}
+        for module in (repro.sim, repro.sim.core, repro.sim.cluster):
+            classes = {n for n, v in vars(module).items() if isinstance(v, type)}
+            assert not {n for n in classes if n.endswith("Simulator")}
+            assert {n for n in classes if n.endswith("Backend")} <= {
+                "PlacementBackend"
+            }
 
     def test_allocation_scores_frozen(self):
         alloc = Allocation(gpus=(1, 2), scores={"agg_bw": 50.0})
