@@ -530,8 +530,13 @@ class MultiServerScheduler:
     # straight into the unified simulation core.
     # ------------------------------------------------------------------ #
     def free_gpu_counts(self) -> Tuple[int, ...]:
-        """Free GPUs per server, indexed like ``engines``."""
-        return tuple(e.state.num_free for e in self.engines)
+        """Free GPUs per server, indexed like ``engines``.
+
+        Served by the candidate index, which tracks every server's free
+        count from placement/release deltas — failed and drained servers
+        included (:meth:`check_index` holds it to the engines' states).
+        """
+        return self._index.snapshot()
 
     def max_free_count(self) -> int:
         """Largest per-server free-GPU count, O(1) off the index.

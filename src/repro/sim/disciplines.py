@@ -38,8 +38,10 @@ walked at all.  FIFO does nothing on an arrival behind a blocked head;
 EASY additionally skips the jobs whose runtime lower bound already
 overruns the shadow time and, on an arrival, re-examines only the jobs
 whose outcome can have changed (see :class:`EasyBackfillDiscipline`).
-Every skip is exact: the resulting schedule is byte-identical to
-attempting every job.
+EASY does not even visit the jobs it skips: an index of the queue by
+GPU count and runtime estimate hands a full pass just the jobs that
+pass both tests.  Every skip is exact: the resulting schedule is
+byte-identical to attempting every job.
 
 Use :func:`register_discipline` to add custom disciplines; they become
 available to both simulators and the CLI by name.
@@ -48,9 +50,11 @@ available to both simulators and the CLI by name.
 from __future__ import annotations
 
 import abc
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Deque, Dict, Iterable, List, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -175,9 +179,67 @@ class ShortestJobFirstDiscipline(QueueDiscipline):
             )
 
 
+class _EstimateIndex:
+    """The queued jobs by GPU count, each class sorted by runtime estimate.
+
+    Class ``g`` holds one ``(estimate, seq, job)`` entry per queued job
+    asking for ``g`` GPUs, in ascending ``(estimate, seq)`` order.
+    ``seq`` numbers the jobs in queue order — a rebuild numbers the
+    queue from the head, an arrival takes the next number — so sorting
+    entries by ``seq`` puts them back in queue order.
+    """
+
+    def __init__(self, queue: Iterable["Job"], estimate: Callable[["Job"], float]):
+        self.classes: Dict[int, List[Tuple[float, int, "Job"]]] = {}
+        #: ``id(job)`` to its ``(estimate, seq)`` key.
+        self.keys: Dict[int, Tuple[float, int]] = {}
+        self.seq = 0
+        for job in queue:
+            self.add(job, estimate(job))
+
+    def add(self, job: "Job", estimate: float) -> None:
+        """Index ``job``, queued behind every job indexed so far."""
+        key = self.keys[id(job)] = (estimate, self.seq)
+        self.seq += 1
+        insort(self.classes.setdefault(job.num_gpus, []), key + (job,))
+
+    def remove(self, job: "Job") -> None:
+        """Drop a job that left the queue."""
+        entries = self.classes[job.num_gpus]
+        del entries[bisect_left(entries, self.keys.pop(id(job)))]
+
+    def admissible(self, now: float, limit: float, max_free: int) -> List["Job"]:
+        """The jobs with ``num_gpus <= max_free`` and ``now + estimate <=
+        limit``, in queue order.
+
+        Float addition is monotone, so within a class these jobs are a
+        prefix.  Its end is bisected on ``limit - now``, which can be
+        off by the rounding of that subtraction, and then moved to the
+        exact boundary with the very test the walk applies.
+        """
+        found: List[Tuple[float, int, "Job"]] = []
+        bound = (limit - now, float("inf"))
+        for num_gpus, entries in self.classes.items():
+            if num_gpus > max_free:
+                continue
+            end = bisect_right(entries, bound)
+            while end < len(entries) and now + entries[end][0] <= limit:
+                end += 1
+            while end and now + entries[end - 1][0] > limit:
+                end -= 1
+            found.extend(entries[:end])
+        found.sort(key=itemgetter(1))
+        return [job for _, _, job in found]
+
+
 @dataclass
 class _EasyPass:
-    """What one EASY pass leaves for the next (``core.discipline_state``)."""
+    """What one EASY pass leaves for the next (``core.discipline_state``).
+
+    Carried over only to an arrival or completion pass: after a fleet
+    event, or with nothing carried, the next pass starts afresh and
+    rebuilds the estimate index from the queue.
+    """
 
     #: The length of the queue as the pass left it.
     length: int
@@ -189,6 +251,8 @@ class _EasyPass:
     #: Jobs placed and then rejected on their exact ``exec_time``, in
     #: queue order, each with ``commits`` at its rejection.
     retry: List[Tuple["Job", int]]
+    #: The queue as the pass left it, by GPU count and estimate.
+    index: _EstimateIndex
 
 
 class EasyBackfillDiscipline(QueueDiscipline):
@@ -227,6 +291,19 @@ class EasyBackfillDiscipline(QueueDiscipline):
       Every other cause forces a full pass: a failure can requeue
       casualties at the front of the queue without releasing anything.
 
+    A full pass does not walk the queue to find the jobs the first two
+    skips leave.  The pass keeps the queue in an :class:`_EstimateIndex`
+    — one list per GPU count, sorted by ``(runtime_estimate, seq)``,
+    where ``seq`` follows queue order — and reads, for every class that
+    fits the emptiest server, the prefix with ``now + estimate <=
+    shadow + _EPS``.  Merged by ``seq`` and without the head, that is
+    the queue walk minus its skips, in the same order, so the
+    placements, commits and retry list are the ones the walk makes.
+    The index rides along in :class:`_EasyPass`: an arrival adds the
+    new tail, every started job leaves it, and it is rebuilt from the
+    queue after a fleet event (casualties are requeued at the front)
+    and whenever no pass state was carried over.
+
     The skips rely on the same contract as the core's futile-retry memo:
     placement failure is monotone in the free set, placement is a pure
     function of the free set, and an abort restores the free set
@@ -239,10 +316,18 @@ class EasyBackfillDiscipline(QueueDiscipline):
         """Start what fits, reserve for the head, backfill behind it."""
         max_free_count = core.backend.max_free_count
         queue = core.queue
+        cause = core.cause
         last = core.discipline_state
         core.discipline_state = None
+        if cause in (ARRIVAL, COMPLETION) and isinstance(last, _EasyPass):
+            index = last.index
+            if cause == ARRIVAL:
+                index.add(queue[-1], core.runtime_estimate(queue[-1]))
+        else:
+            last = None
+            index = _EstimateIndex(queue, core.runtime_estimate)
         shadow = None
-        if core.cause == ARRIVAL and isinstance(last, _EasyPass):
+        if cause == ARRIVAL and last is not None:
             shadow = core.earliest_fit_time(queue[0].num_gpus)
             if shadow <= last.shadow:
                 commits = last.commits
@@ -262,20 +347,25 @@ class EasyBackfillDiscipline(QueueDiscipline):
                 if placed is None:
                     break
                 queue.popleft()
+                index.remove(job)
                 core.commit(placed)
                 commits += 1
             if not queue:
                 return
             shadow = core.earliest_fit_time(queue[0].num_gpus)
-            candidates = islice(queue, 1, None)
+            candidates = index.admissible(core.now, shadow + _EPS, max_free_count())
+            if candidates and candidates[0] is queue[0]:  # lowest seq
+                del candidates[0]
         started, retry = self._backfill(
             core, candidates, shadow, max_free_count, commits, rejected
         )
         if started:
+            for job in started:
+                index.remove(job)
             gone = set(map(id, started))
             queue = core.queue = deque(job for job in queue if id(job) not in gone)
         core.discipline_state = _EasyPass(
-            len(queue), shadow, commits + len(started), retry
+            len(queue), shadow, commits + len(started), retry, index
         )
 
     @staticmethod

@@ -59,12 +59,13 @@ def reference_earliest_fit_time(core: "SimulationCore", num_gpus: int) -> float:
 
     Sorts the running jobs' completions on every call, as the core did
     before it kept the timeline between calls, and reads every server's
-    status afresh: a server that is not up hosts nothing new.
+    free count and status afresh from its engine, not from the
+    scheduler's candidate index: a server that is not up hosts nothing
+    new.
     """
     backend = core.backend
-    frees = list(backend.free_gpu_counts())
-    status = getattr(backend, "server_status", lambda server: "up")
-    up = [status(i) == "up" for i in range(len(frees))]
+    frees = [engine.state.num_free for engine in backend.engines]
+    up = [backend.server_status(i) == "up" for i in range(len(frees))]
     if any(u and f >= num_gpus for u, f in zip(up, frees)):
         return core.engine.now
     capacities = [

@@ -16,6 +16,7 @@ dynamics, and keep servers that are down out of the shadow time.
 """
 
 import json
+import math
 
 import pytest
 
@@ -34,6 +35,7 @@ from repro.scoring.memo import ScanCache
 from repro.sim.disciplines import (
     EasyBackfillDiscipline,
     FifoDiscipline,
+    _EstimateIndex,
     make_discipline,
 )
 from repro.topology.builders import by_name
@@ -217,3 +219,72 @@ def test_shadow_time_ignores_servers_that_are_down(production_core, action):
     assert finish > core.now
     assert core.earliest_fit_time(5) == finish
     assert core.earliest_fit_time(2) == core.now
+
+
+class _FreeCountProbe(EasyBackfillDiscipline):
+    """EASY that holds the scheduler's index-served free counts to the
+    engines' own states around every pass, and records the fleet
+    changes it saw."""
+
+    def __init__(self):
+        self.statuses = set()
+        self.sizes = set()
+
+    def _check(self, backend):
+        engines = backend.engines
+        assert backend.free_gpu_counts() == tuple(e.state.num_free for e in engines)
+        self.statuses.update(backend.server_status(i) for i in range(len(engines)))
+        self.sizes.add(len(engines))
+
+    def schedule(self, core):
+        self._check(core.backend)
+        super().schedule(core)
+        self._check(core.backend)
+
+
+def test_free_gpu_counts_match_engines_under_fleet_dynamics():
+    """Shadow times read free counts from the candidate index; through
+    failures, repairs, drains and grows they must stay each engine's
+    own count, failed and drained servers included."""
+    fleet = mixed_fleet(4)
+    trace = _fleet_trace(fleet, 80, seed=7, rate=0.5)
+    dynamics = DynamicsSpec(
+        seed=4, horizon=300.0, failures=3, mean_downtime=40.0,
+        grows=2, shrinks=2, preemptions=2,
+    )
+    sim = MultiServerSimulator(fleet.build(), dynamics=dynamics)
+    probe = sim.core.discipline = _FreeCountProbe()
+    sim.core.run(trace)
+    assert probe.statuses == {"up", "failed", "drained"}
+    assert probe.sizes == {4, 5, 6}
+
+
+@pytest.mark.parametrize("now,limit", [(0.1, 0.3), (1.0, 1.1), (3.3, 7.7), (100.7, 1000.3)])
+def test_estimate_index_prefix_ends_at_the_exact_boundary(now, limit):
+    """A full EASY pass walks only the jobs ``_EstimateIndex.admissible``
+    returns, so it must return exactly the queued jobs the walk's own
+    test ``now + estimate <= limit`` admits, in queue order — also where
+    ``limit - now`` rounds, so that a bisect on it alone lands one
+    estimate off the boundary."""
+    gap = limit - now
+    estimates = [gap]
+    for direction in (-math.inf, math.inf):
+        value = gap
+        for _ in range(3):
+            value = math.nextafter(value, direction)
+            estimates.append(value)
+    estimates += [0.0, gap / 2, 2 * gap]
+    queue = [
+        Job(job_id, "caffenet", 1 + job_id % 3, "ring", False, 0.0)
+        for job_id in range(3 * len(estimates))
+    ]
+    estimate = {job.job_id: estimates[job.job_id % len(estimates)] for job in queue}
+    index = _EstimateIndex(queue, lambda job: estimate[job.job_id])
+    for max_free in (0, 1, 2, 3):
+        expected = [
+            job
+            for job in queue
+            if job.num_gpus <= max_free and now + estimate[job.job_id] <= limit
+        ]
+        assert index.admissible(now, limit, max_free) == expected
+    assert any(now + e == limit for e in estimates)
