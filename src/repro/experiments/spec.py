@@ -205,6 +205,25 @@ class ExperimentSpec:
                 )
         if self.model not in ("refit", "paper"):
             raise ValueError("model must be 'refit' or 'paper'")
+        if self.model == "refit":
+            self._check_fit_sizes()
+
+    def _check_fit_sizes(self) -> None:
+        """Reject fit sizes some topology of the grid cannot sample.
+
+        A refit enumerates every ``size``-GPU subset of each topology, so
+        each size must lie in ``2..`` the smallest server's GPU count —
+        caught here rather than mid-sweep, after other cells have run.
+        """
+        cap = min(by_name(topo).num_gpus for topo in self.topologies)
+        if not self.fit_sizes or not all(
+            isinstance(size, int) and 2 <= size <= cap for size in self.fit_sizes
+        ):
+            raise ValueError(
+                f"fit_sizes must be non-empty ints in 2..{cap} (the "
+                f"smallest server in the grid has {cap} GPUs); "
+                f"got {self.fit_sizes!r}"
+            )
 
     @property
     def num_cells(self) -> int:

@@ -120,6 +120,32 @@ class TestExpansion:
         assert spec.disciplines == ("fifo",)
         assert spec.num_cells == 2
 
+    @pytest.mark.parametrize("sizes", [(2, 3, 7), (), (1,), (2, 3.0)])
+    def test_rejects_fit_sizes_no_topology_can_sample(self, sizes):
+        """A refit samples every size on every topology (Summit has 6)."""
+        with pytest.raises(ValueError, match="fit_sizes"):
+            ExperimentSpec(
+                name="t", topologies=("dgx1-v100", "summit"), fit_sizes=sizes
+            )
+
+    def test_valid_fit_sizes_keep_their_order_and_hashes(self):
+        spec = ExperimentSpec(
+            name="t",
+            topologies=("dgx1-v100", "summit"),
+            trace=TraceSpec(num_jobs=10),
+            fit_sizes=(5, 2, 3),
+        )
+        assert spec.fit_sizes == (5, 2, 3)
+        cells = spec.expand()
+        assert [cells[0].config_hash()[:16], cells[4].config_hash()[:16]] == [
+            "8f2cbb811e8bd7cb",
+            "f4d3041c7f73a298",
+        ]
+        assert ExperimentSpec(name="t", topologies=("summit",), fit_sizes=(6,))
+
+    def test_paper_model_ignores_fit_sizes(self):
+        assert ExperimentSpec(name="t", model="paper", fit_sizes=(9,))
+
 
 class TestParseGrid:
     def test_defaults(self):

@@ -9,7 +9,11 @@ seeded ``mixed_fleet`` trace with counting wrappers on the layer seams
 moves is a deliberate change, reported like a golden-table diff; a
 count that drops is an algorithmic win that needs no timing.
 
-Regenerate the table after an intended change with
+The same holds for an Eq. 2 refit: :data:`REFIT_RING_PEELS` pins how
+many ring peels (``build_rings`` calls behind the microbenchmark) one
+refit of each built-in wiring runs from an empty memo.
+
+Regenerate the tables after an intended change with
 ``PYTHONPATH=src python tests/test_work_counts.py``.
 """
 
@@ -20,11 +24,14 @@ from typing import Dict
 import pytest
 
 from repro.cluster import MultiServerScheduler, run_cluster
+from repro.comm import microbench
 from repro.scenarios import PoissonArrivals, ScenarioSpec, mixed_fleet, paper_mix
 from repro.scoring.memo import ScanCache
+from repro.scoring.regression import fit_for_hardware
 from repro.sim.core import SimulationCore
 from repro.sim.disciplines import make_discipline
 from repro.sim.engine import EventEngine
+from repro.topology.builders import TOPOLOGY_BUILDERS, by_name
 
 #: ``case -> (scheduling, warm scan cache)``.
 CASES = {
@@ -123,6 +130,21 @@ GOLDEN: Dict[str, Dict[str, int]] = {
     },
 }
 
+#: ``wiring -> ring peels`` of one ``fit_for_hardware`` at the default
+#: sizes (2–5) after :func:`~repro.comm.microbench.release_graph_memo`:
+#: one peel per distinct channel shape, not per GPU subset.
+REFIT_RING_PEELS: Dict[str, int] = {
+    "dgx1-v100": 132,
+    "dgx1-v100-cube-mesh": 104,
+    "dgx1-p100": 49,
+    "summit": 10,
+    "torus-2d-16": 710,
+    "cube-mesh-16": 740,
+    "dgx2": 4,
+    "big-basin": 132,
+    "p3dn": 132,
+}
+
 
 def _trace(fleet):
     return ScenarioSpec(
@@ -192,6 +214,22 @@ def test_work_counts_pinned(case, monkeypatch):
     assert work_counts(case, monkeypatch.setattr) == GOLDEN[case]
 
 
+def refit_ring_peels(patch) -> Dict[str, int]:
+    """Ring peels of one cold refit per wiring, counted via ``patch``."""
+    counts: Counter = Counter()
+    build_rings = microbench.build_rings
+    for name in TOPOLOGY_BUILDERS:
+        patch(microbench, "build_rings", _counting(counts, name, build_rings))
+        microbench.release_graph_memo()
+        fit_for_hardware(by_name(name))
+    microbench.release_graph_memo()
+    return {name: counts[name] for name in TOPOLOGY_BUILDERS}
+
+
+def test_refit_ring_peels_pinned(monkeypatch):
+    assert refit_ring_peels(monkeypatch.setattr) == REFIT_RING_PEELS
+
+
 if __name__ == "__main__":  # pragma: no cover - golden regeneration
     import json
 
@@ -199,4 +237,6 @@ if __name__ == "__main__":  # pragma: no cover - golden regeneration
     for case in CASES:
         with pytest.MonkeyPatch.context() as patch:
             table[case] = work_counts(case, patch.setattr)
+    with pytest.MonkeyPatch.context() as patch:
+        table["refit_ring_peels"] = refit_ring_peels(patch.setattr)
     print(json.dumps(table, indent=4))
