@@ -13,16 +13,15 @@ can be analysed.
 
 from __future__ import annotations
 
-from typing import Deque, Dict, List, Sequence
+from typing import Dict, List, Sequence
 
 from ..policies.base import AllocationPolicy
 from ..scoring.effective import EffectiveBandwidthModel, PAPER_MODEL
 from ..sim.core import PlacementRecord, SimulationCore
 from ..sim.disciplines import make_discipline
-from ..sim.engine import EventEngine
 from ..sim.records import SimulationLog
 from ..topology.hardware import HardwareGraph
-from ..workloads.jobs import Job, JobFile
+from ..workloads.jobs import JobFile
 from .scheduler import MultiServerScheduler
 
 #: A completed job plus the server that hosted it.  Alias of the core's
@@ -89,16 +88,6 @@ class MultiServerSimulator:
     def placements(self) -> List[ClusterJobRecord]:
         """Completed jobs with their hosting server."""
         return self.core.placements
-
-    @property
-    def engine(self) -> EventEngine:
-        """The core's event queue."""
-        return self.core.engine
-
-    @property
-    def queue(self) -> Deque[Job]:
-        """Jobs waiting to start."""
-        return self.core.queue
 
     @property
     def log(self) -> SimulationLog:

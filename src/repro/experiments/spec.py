@@ -18,9 +18,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..policies.registry import POLICY_NAMES
+from ..scoring.census import census_of_allocation
 from ..sim.disciplines import DISCIPLINES
 from ..topology.builders import TOPOLOGY_BUILDERS, by_name
 from ..workloads.catalog import get_workload
@@ -209,13 +211,16 @@ class ExperimentSpec:
             self._check_fit_sizes()
 
     def _check_fit_sizes(self) -> None:
-        """Reject fit sizes some topology of the grid cannot sample.
+        """Reject fit sizes some topology of the grid cannot fit on.
 
         A refit enumerates every ``size``-GPU subset of each topology, so
-        each size must lie in ``2..`` the smallest server's GPU count —
-        caught here rather than mid-sweep, after other cells have run.
+        each size must lie in ``2..`` the smallest server's GPU count, and
+        the subsets must show at least two distinct (x, y, z) censuses
+        (every 2-GPU subset of a DGX-2 shares one) — caught here rather
+        than mid-sweep, after other cells have run.
         """
-        cap = min(by_name(topo).num_gpus for topo in self.topologies)
+        servers = [by_name(topo) for topo in self.topologies]
+        cap = min(hw.num_gpus for hw in servers)
         if not self.fit_sizes or not all(
             isinstance(size, int) and 2 <= size <= cap for size in self.fit_sizes
         ):
@@ -224,6 +229,18 @@ class ExperimentSpec:
                 f"smallest server in the grid has {cap} GPUs); "
                 f"got {self.fit_sizes!r}"
             )
+        for hw in servers:
+            censuses = (
+                census_of_allocation(hw, subset)
+                for size in self.fit_sizes
+                for subset in combinations(hw.gpus, size)
+            )
+            first = next(censuses)
+            if all(census == first for census in censuses):
+                raise ValueError(
+                    f"fit_sizes {self.fit_sizes!r} give {hw.name} one "
+                    "(x, y, z) census; a refit needs at least two"
+                )
 
     @property
     def num_cells(self) -> int:

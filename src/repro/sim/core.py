@@ -26,8 +26,8 @@ effective bandwidth — the columns behind the validation scatter of
 Fig. 15.
 
 The loop is struct-of-arrays throughout: arrivals are bulk-scheduled
-into the columnar :class:`~repro.sim.engine.EventEngine` (one
-vectorised sort instead of N heap pushes), allocation requests are
+into the tuple-heap :class:`~repro.sim.engine.EventEngine` (one
+``heapify`` instead of N heap pushes), allocation requests are
 built once per job, running jobs are plain field tuples, and
 completions append straight into the
 :class:`~repro.sim.records.SimulationLog` column buffers — no
@@ -213,10 +213,6 @@ class SimulationCore:
         self._victim_policy = "youngest"
         self._max_request = 0
         self.engine = EventEngine()
-        # Pre-interned completion kind: every start schedules one
-        # completion and skips re-interning the string (and the no-op
-        # negative-delay check) each time.
-        self._completion_code = self.engine.intern_kind(COMPLETION)
         #: Kind of the event the discipline is being called after
         #: (ARRIVAL, COMPLETION or FLEET); None outside run().
         self.cause: Optional[str] = None
@@ -600,7 +596,7 @@ class SimulationCore:
         )
         self.engine.schedule_after_coded(
             exec_time,
-            self._completion_code,
+            COMPLETION,
             self._incarnation(job) if self._dynamic else job_id,
         )
 

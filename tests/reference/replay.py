@@ -2,7 +2,7 @@
 
 The production replay stack (:class:`repro.sim.core.SimulationCore` on
 a :class:`repro.cluster.scheduler.MultiServerScheduler`) earns its speed
-from memos and fast paths: a columnar event engine, FIFO and EASY
+from memos and fast paths: a tuple-heap event engine, FIFO and EASY
 skips keyed on the cause of each scheduling call, a max-free guard, a
 futile-retry memo, measured-bandwidth and execution-time memos, a
 first-fit fast path with a decision memo, and component-wise
@@ -45,7 +45,7 @@ from repro.scoring.census import census_of_allocation
 from repro.scoring.effective import EffectiveBandwidthModel, PAPER_MODEL
 from repro.scoring.preserved import preserved_bandwidth
 from repro.sim.core import PlacedJob, SimulationCore
-from repro.sim.disciplines import COMPLETION, QueueDiscipline, make_discipline
+from repro.sim.disciplines import QueueDiscipline, make_discipline
 from repro.sim.engine import _REL_EPS, DEFAULT_PRIORITY
 from repro.sim.records import SimulationLog
 from repro.topology.hardware import HardwareGraph
@@ -120,13 +120,9 @@ class HeapEventEngine:
             raise ValueError("negative delay")
         self.schedule(self.now + delay, kind, payload, priority)
 
-    def intern_kind(self, kind: str) -> str:
-        """API parity: every kind is its own code."""
-        return kind
-
-    def schedule_after_coded(self, delay: float, code: str, payload: Any) -> None:
-        """:meth:`schedule_after` under a code from :meth:`intern_kind`."""
-        self.schedule_after(delay, code, payload)
+    def schedule_after_coded(self, delay: float, kind: str, payload: Any) -> None:
+        """:meth:`schedule_after` (API parity)."""
+        self.schedule_after(delay, kind, payload)
 
     def schedule_many(
         self,
@@ -257,7 +253,6 @@ class ReferenceCore(SimulationCore):
     def __init__(self, backend, discipline, log, dynamics=None) -> None:
         super().__init__(backend, discipline, log, dynamics=dynamics)
         self.engine = HeapEventEngine()
-        self._completion_code = self.engine.intern_kind(COMPLETION)
 
     def place(self, job: Job) -> Optional[PlacedJob]:
         """Place ``job`` and evaluate its runtime, from scratch."""

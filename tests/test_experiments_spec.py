@@ -141,7 +141,14 @@ class TestExpansion:
             "8f2cbb811e8bd7cb",
             "f4d3041c7f73a298",
         ]
-        assert ExperimentSpec(name="t", topologies=("summit",), fit_sizes=(6,))
+
+    @pytest.mark.parametrize(
+        "topology, sizes", [("dgx2", (2,)), ("summit", (5,)), ("summit", (6,))]
+    )
+    def test_rejects_fit_sizes_with_one_census(self, topology, sizes):
+        """Every such subset shares one (x, y, z): nothing to regress on."""
+        with pytest.raises(ValueError, match="fit_sizes .* one .* census"):
+            ExperimentSpec(name="t", topologies=(topology,), fit_sizes=sizes)
 
     def test_paper_model_ignores_fit_sizes(self):
         assert ExperimentSpec(name="t", model="paper", fit_sizes=(9,))

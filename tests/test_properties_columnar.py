@@ -1,12 +1,13 @@
-"""Property tests: the columnar replay core vs the reference replay.
+"""Property tests: the replay core vs the reference replay.
 
 Three contracts pin the replay core:
 
-* the struct-of-arrays :class:`~repro.sim.engine.EventEngine` pops the
-  exact ``(time, seq)`` total order of the reference
+* the tuple-heap :class:`~repro.sim.engine.EventEngine` pops the exact
+  ``(time, priority, seq)`` total order of the reference
   :class:`~reference.replay.HeapEventEngine` under arbitrary
-  interleavings of singleton schedules, bulk runs and pops — including
-  times inside the relative round-off band, which both clamp;
+  interleavings of singleton schedules, bulk runs, the core's coded
+  completions and pops, at both priorities — including times inside
+  the relative round-off band, which both clamp;
 * production replays are byte-identical (canonical JSON) to the
   memo-free reference replay (``tests/reference/replay.py``) over
   random traces and fleets, warm or cold, with or without a shared
@@ -30,27 +31,39 @@ from repro.cluster import run_cluster
 from repro.experiments.spill import ScanSpillStore
 from repro.scenarios import FleetSpec
 from repro.scoring.memo import ScanCache
-from repro.sim.engine import _REL_EPS, EventEngine
+from repro.sim.engine import (
+    _REL_EPS,
+    DEFAULT_PRIORITY,
+    FLEET_PRIORITY,
+    EventEngine,
+)
 from repro.topology.builders import dgx1_v100
 from repro.workloads.generator import generate_job_file
 
 _KINDS = ("arrival", "completion", "tick")
+_PRIORITIES = (DEFAULT_PRIORITY, FLEET_PRIORITY)
 
 
 @st.composite
 def _event_script(draw):
-    """Random interleaving of schedules, bulk runs, clamps and pops."""
+    """Random interleaving of schedules, bulk runs, coded completions,
+    clamps and pops, at both priorities."""
     ops = []
     for _ in range(draw(st.integers(1, 40))):
-        op = draw(st.sampled_from(["schedule", "bulk", "clamp", "pop", "pop"]))
+        op = draw(
+            st.sampled_from(["schedule", "bulk", "coded", "clamp", "pop", "pop"])
+        )
         if op == "schedule":
             ops.append(
                 (
                     "schedule",
                     draw(st.floats(0.0, 1e6, allow_nan=False)),
                     draw(st.sampled_from(_KINDS)),
+                    draw(st.sampled_from(_PRIORITIES)),
                 )
             )
+        elif op == "coded":
+            ops.append(("coded", draw(st.floats(0.0, 1e6, allow_nan=False))))
         elif op == "bulk":
             ops.append(
                 (
@@ -65,6 +78,7 @@ def _event_script(draw):
                         )
                     ),
                     draw(st.sampled_from(_KINDS)),
+                    draw(st.sampled_from(_PRIORITIES)),
                 )
             )
         else:
@@ -86,18 +100,23 @@ class TestEngineEquivalence:
         now, payload = 0.0, 0
         for op in ops:
             if op[0] == "schedule":
-                _, delay, kind = op
-                fast.schedule(now + delay, kind, payload)
-                ref.schedule(now + delay, kind, payload)
+                _, delay, kind, priority = op
+                fast.schedule(now + delay, kind, payload, priority)
+                ref.schedule(now + delay, kind, payload, priority)
+                payload += 1
+            elif op[0] == "coded":
+                # The core's path for every start's completion.
+                fast.schedule_after_coded(op[1], "completion", payload)
+                ref.schedule_after(op[1], "completion", payload)
                 payload += 1
             elif op[0] == "bulk":
-                _, delays, kind = op
+                _, delays, kind, priority = op
                 times = [now + d for d in delays]
                 payloads = list(range(payload, payload + len(delays)))
                 payload += len(delays)
-                fast.schedule_many(times, kind, payloads)
+                fast.schedule_many(times, kind, payloads, priority)
                 for t, p in zip(times, payloads):
-                    ref.schedule(t, kind, p)
+                    ref.schedule(t, kind, p, priority)
             elif op[0] == "clamp":
                 # Half a tolerance band into the past: round-off, not a
                 # logic error — both engines must clamp it to ``now``.
@@ -122,10 +141,16 @@ class TestEngineEquivalence:
         engine = EventEngine()
         engine.schedule(100.0, "tick")
         assert engine.pop()[0] == 100.0
+        engine.schedule(150.0, "tick", "kept")
         with pytest.raises(ValueError, match="before current time"):
             engine.schedule(99.0, "tick")
         with pytest.raises(ValueError, match="before current time"):
-            engine.schedule_many([100.0, 99.0], "tick")
+            engine.schedule_many([100.0, 99.0], "tick", ["early", "bad"])
+        # A rejected bulk schedule enqueues nothing, not even its
+        # in-range head.
+        assert engine.pending == 1
+        assert engine.pop() == (150.0, "tick", "kept")
+        assert engine.pop() is None
 
 
 def _canonical(sim) -> str:

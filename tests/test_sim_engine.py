@@ -177,7 +177,7 @@ class TestPriorityOrdering:
             assert engine.pop()[2] == "late", type(engine).__name__
 
     def test_schedule_many_priority_interleaves_with_heap_events(self):
-        """Bulk fleet events (columnar run) vs heap-scheduled job events."""
+        """Bulk-scheduled fleet events vs singly scheduled job events."""
         from repro.sim.engine import FLEET_PRIORITY
 
         for engine in self._engines():
