@@ -12,6 +12,7 @@ simulator's Fig. 14 log file) needs no recomputation.
 from __future__ import annotations
 
 import inspect
+from functools import lru_cache
 from typing import Dict, Hashable, Optional, Tuple
 
 from ..policies.base import Allocation, AllocationPolicy, AllocationRequest
@@ -21,6 +22,19 @@ from ..scoring.effective import EffectiveBandwidthModel, PAPER_MODEL
 from ..scoring.preserved import preserved_bandwidth
 from ..topology.hardware import HardwareGraph
 from .state import AllocationState
+
+
+@lru_cache(maxsize=128)
+def _takes_free_mask(allocate) -> bool:
+    """Whether an ``allocate`` function accepts ``free_mask=``.
+
+    Memoised per underlying function, so a fleet of servers sharing a
+    policy class probes its signature once, not once per server.
+    """
+    try:
+        return "free_mask" in inspect.signature(allocate).parameters
+    except (TypeError, ValueError):  # pragma: no cover - exotic callables
+        return False
 
 
 class Mapa:
@@ -70,12 +84,10 @@ class Mapa:
         # Scan-memoizing policies take the state's incremental free-set
         # bitmask so their cache key costs O(1); detected by signature
         # so third-party three-argument policies keep working.
-        try:
-            self._policy_takes_mask = (
-                "free_mask" in inspect.signature(policy.allocate).parameters
-            )
-        except (TypeError, ValueError):  # pragma: no cover - exotic callables
-            self._policy_takes_mask = False
+        allocate = policy.allocate
+        self._policy_takes_mask = _takes_free_mask(
+            getattr(allocate, "__func__", allocate)
+        )
 
     # ------------------------------------------------------------------ #
     def can_ever_fit(self, request: AllocationRequest) -> bool:

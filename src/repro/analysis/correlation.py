@@ -35,13 +35,26 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     return float(np.corrcoef(x, y)[0, 1])
 
 
+def _average_ranks(values: Sequence[float]) -> np.ndarray:
+    """1-based ranks, ties sharing the mean of the ranks they span."""
+    v = np.asarray(values, dtype=float)
+    order = np.argsort(v, kind="stable")
+    ordered = v[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], v.size]
+    ranks = np.empty(v.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def spearman(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Spearman rank correlation — robust to the nonlinear (hyperbolic)
-    EffBW→time relationship of Fig. 11c."""
-    from scipy.stats import spearmanr
+    EffBW→time relationship of Fig. 11c.
 
-    rho = spearmanr(xs, ys).statistic
-    return float(rho) if rho is not None else 0.0
+    :func:`pearson` over average ranks, so a constant series gives 0.0
+    (``scipy.stats.spearmanr`` gives ``nan`` there).
+    """
+    return pearson(_average_ranks(xs), _average_ranks(ys))
 
 
 @dataclass(frozen=True)

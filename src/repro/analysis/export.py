@@ -83,29 +83,6 @@ def log_to_csv(log, path: Optional[str] = None) -> str:
     return text
 
 
-def log_columns_to_csv(log, path: Optional[str] = None) -> str:
-    """Export a log's *numeric* columns as CSV, without rehydration.
-
-    The column-level sibling of :func:`log_to_csv`: reads through
-    :meth:`~repro.sim.records.SimulationLog.numeric_columns` (plus the
-    derived wait/execution times), so a log decoded lazily from an
-    ``.mlog`` payload (a store entry or a sweep worker's returned
-    bytes) is exported straight from its zero-copy views — no
-    :class:`~repro.sim.records.JobRecord` is ever materialised.
-    String columns (workload, pattern, allocation)
-    are deliberately absent; use :func:`log_to_csv` when you need them.
-    """
-    cols = log.numeric_columns()
-    names = list(cols) + ["wait_time", "execution_time"]
-    wait = cols["start_time"] - cols["submit_time"]
-    exec_time = cols["finish_time"] - cols["start_time"]
-    series = [cols[name] for name in cols] + [wait, exec_time]
-    rows = [
-        [float(col[i]) for col in series] for i in range(len(wait))
-    ]
-    return series_to_csv(names, rows, path)
-
-
 def sweep_to_csv(outcome, path: Optional[str] = None) -> str:
     """Export a :class:`~repro.experiments.runner.SweepOutcome`'s
     per-cell summary (one row per grid cell) — what ``mapa sweep

@@ -135,10 +135,6 @@ class CandidateServerIndex:
         """The largest free count over all *active* servers (O(1))."""
         return self._max_free
 
-    def is_active(self, server: int) -> bool:
-        """Whether ``server`` currently participates in candidate walks."""
-        return self._active[server]
-
     def _drop_max_free(self, old: int) -> None:
         """Walk ``_max_free`` down after the top bucket lost a member.
 

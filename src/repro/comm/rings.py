@@ -52,10 +52,6 @@ class RingDecomposition:
         """Sum of the per-ring bottleneck bandwidths (peak bus bandwidth)."""
         return sum(r.bottleneck_gbps for r in self.rings)
 
-    @property
-    def num_nvlink_rings(self) -> int:
-        return sum(1 for r in self.rings if not r.uses_pcie)
-
 
 class _ChannelGraph:
     """Mutable multigraph of remaining NVLink channels over an allocation."""

@@ -25,10 +25,6 @@ class YearCensus:
     other_accelerator_systems: int
     heterogeneous_interconnect_pct: float
 
-    @property
-    def accelerator_systems(self) -> int:
-        return self.gpu_systems + self.other_accelerator_systems
-
 
 #: June-list census, 2017–2021 (digitised from paper Fig. 3).
 TOP500_CENSUS: Tuple[YearCensus, ...] = (

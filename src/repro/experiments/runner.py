@@ -4,9 +4,9 @@
 × discipline × trace simulation) and is a module-level function so a
 :class:`concurrent.futures.ProcessPoolExecutor` can ship it to worker
 processes.  :class:`SweepRunner` expands a spec, serves every cell it
-can from the :class:`~repro.experiments.store.ResultStore`, shards the
-remaining cells across workers, and returns a :class:`SweepOutcome`
-whose logs are indistinguishable from a direct
+can from the :class:`~repro.experiments.store.ResultStore`, groups the
+remaining cells by wiring, largest first, across workers, and returns a
+:class:`SweepOutcome` whose logs are indistinguishable from a direct
 :func:`repro.sim.cluster.run_all_policies` run: a cell replays through
 :func:`repro.sim.cluster.run_policy`, a one-server fleet on the
 worker's shared scan cache, so the fleet's first-fit decision memo
@@ -28,7 +28,7 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -192,6 +192,42 @@ def simulate_cell_packed(cell: CellConfig) -> CellReturn:
     return pack_result(simulate_cell(cell))
 
 
+def simulate_cells_packed(cells: Sequence[CellConfig]) -> List[CellReturn]:
+    """Worker entry point for one dispatch piece (see :func:`_dispatch_plan`).
+
+    The cells of a piece share a wiring, so the worker pays that
+    wiring's refit, cold scans and decision memo once for all of them.
+    """
+    return [simulate_cell_packed(cell) for cell in cells]
+
+
+def _dispatch_plan(cells: Sequence[CellConfig], workers: int) -> List[List[int]]:
+    """Split cell indices into per-wiring pieces, largest first.
+
+    Cells are grouped by topology in grid order, and a group longer than
+    ``ceil(len(cells) / workers)`` is split so a one-topology grid still
+    keeps every worker busy.  Pieces are ordered by estimated work —
+    cells × trace jobs × GPUs of the wiring — descending, ties in grid
+    order, so the pool's first-free-worker pull approximates
+    longest-processing-time-first scheduling.
+    """
+    cap = -(-len(cells) // workers)
+    groups: Dict[str, List[int]] = {}
+    for i, cell in enumerate(cells):
+        groups.setdefault(cell.topology, []).append(i)
+    pieces = [
+        group[k : k + cap] for group in groups.values()
+        for k in range(0, len(group), cap)
+    ]
+    gpus = {topology: by_name(topology).num_gpus for topology in groups}
+
+    def work(piece: List[int]) -> int:
+        cell = cells[piece[0]]
+        return len(piece) * cell.trace.num_jobs * gpus[cell.topology]
+
+    return sorted(pieces, key=lambda piece: (-work(piece), piece[0]))
+
+
 @dataclass
 class SweepOutcome:
     """Everything a sweep produced, in expansion order."""
@@ -221,10 +257,6 @@ class SweepOutcome:
         return self.num_cells - self.num_cached
 
     # ------------------------------------------------------------------ #
-    def log_for(self, cell: CellConfig) -> SimulationLog:
-        """The simulation log of one grid cell."""
-        return self.results[cell].log
-
     def logs(
         self,
         topology: Optional[str] = None,
@@ -302,6 +334,10 @@ SUMMARY_COLUMNS = (
 
 class SweepRunner:
     """Expand a spec, reuse cached cells, simulate the rest in parallel.
+
+    Cache-miss cells are grouped by wiring, largest first, across the
+    workers (:func:`_dispatch_plan`), so each worker pays a wiring's
+    refit and cold scans once per sweep rather than once per cell.
 
     Parameters
     ----------
@@ -422,7 +458,21 @@ class SweepRunner:
         """
         if self.jobs == 1 or len(cells) == 1:
             return [simulate_cell(cell) for cell in cells]
-        return list(self._ensure_pool().map(simulate_cell_packed, cells))
+        pool = self._ensure_pool()
+        plan = _dispatch_plan(cells, self.jobs)
+        futures = [
+            pool.submit(simulate_cells_packed, [cells[i] for i in piece])
+            for piece in plan
+        ]
+        returned: List[Optional[CellReturn]] = [None] * len(cells)
+        try:
+            for piece, future in zip(plan, futures):
+                for i, result in zip(piece, future.result()):
+                    returned[i] = result
+        finally:  # as Executor.map: drop what has not started on error
+            for future in futures:
+                future.cancel()
+        return returned
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         """This runner's persistent executor, (re)built only when needed.

@@ -17,7 +17,6 @@ Built on the same VF2 engine as the unlabelled matcher.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from .isomorphism import Adjacency, _order_pattern_vertices
@@ -34,14 +33,6 @@ def resources_fit(required: Resources, available: Resources) -> bool:
     from ``required`` are not constrained.
     """
     return all(available.get(k, 0.0) >= v for k, v in required.items())
-
-
-@dataclass(frozen=True)
-class LabeledVertex:
-    """A vertex with a resource vector (requirements or capacities)."""
-
-    vertex: int
-    resources: Resources
 
 
 def labeled_monomorphisms(

@@ -28,9 +28,8 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from ..matching.candidates import Match
 from ..topology.hardware import HardwareGraph
-from .census import LinkCensus, census_of_allocation, census_of_match
+from .census import LinkCensus, census_of_allocation
 
 #: Table 2 of the paper: θ₁ … θ₁₄.
 PAPER_COEFFICIENTS: Tuple[float, ...] = (
@@ -124,10 +123,6 @@ class EffectiveBandwidthModel:
     def predict_census(self, census: LinkCensus) -> float:
         """Predicted effective bandwidth of a :class:`LinkCensus`."""
         return self.predict(census.x, census.y, census.z)
-
-    def predict_match(self, hardware: HardwareGraph, match: Match) -> float:
-        """Score a candidate match by the links its pattern edges use."""
-        return self.predict_census(census_of_match(hardware, match))
 
     def predict_allocation(
         self, hardware: HardwareGraph, gpus: Iterable[int]

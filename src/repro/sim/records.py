@@ -68,11 +68,6 @@ class JobRecord:
         """Time spent queued (start − submit)."""
         return self.start_time - self.submit_time
 
-    @property
-    def turnaround_time(self) -> float:
-        """Submit-to-finish latency."""
-        return self.finish_time - self.submit_time
-
 
 #: Initial capacity of the numeric column buffers.
 _MIN_CAPACITY = 64
@@ -334,24 +329,6 @@ class SimulationLog:
             tuple(values[offsets[i] : offsets[i + 1]]) for i in range(n)
         ]
 
-    def _record_at(self, i: int) -> JobRecord:
-        """Materialise record ``i`` from the column buffers."""
-        self._thaw()
-        return JobRecord(
-            job_id=self._job_id[i],
-            workload=self._workload[i],
-            num_gpus=int(self._num_gpus[i]),
-            pattern=self._pattern[i],
-            bandwidth_sensitive=bool(self._sensitive[i]),
-            submit_time=float(self._submit[i]),
-            start_time=float(self._start[i]),
-            finish_time=float(self._finish[i]),
-            allocation=self._allocation[i],
-            agg_bw=float(self._agg_bw[i]),
-            predicted_effective_bw=float(self._predicted[i]),
-            measured_effective_bw=float(self._measured[i]),
-        )
-
     @property
     def records(self) -> List[JobRecord]:
         """The log as :class:`JobRecord` objects, in completion order.
@@ -472,11 +449,6 @@ class SimulationLog:
         for arr in out.values():
             arr.flags.writeable = False
         return out
-
-    def wait_times(self) -> np.ndarray:
-        """Per-job queueing delay (start − submit), vectorised."""
-        n = self._n
-        return self._start[:n] - self._submit[:n]
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serialisable snapshot of the whole log.

@@ -81,7 +81,9 @@ class CommProfile:
         )
 
 
-def _erf_vec(x: np.ndarray) -> np.ndarray:
-    from scipy.special import erf
+_erf_obj = np.frompyfunc(math.erf, 1, 1)
 
-    return erf(x)
+
+def _erf_vec(x: np.ndarray) -> np.ndarray:
+    """Element-wise :func:`math.erf` as float64."""
+    return _erf_obj(x).astype(np.float64)

@@ -34,6 +34,16 @@ class TestCorrelationHelpers:
         ys = [1 / x for x in xs]
         assert spearman(xs, ys) == pytest.approx(-1.0)
 
+    def test_spearman_ties_take_average_ranks(self):
+        xs = [3.0, 1.0, 3.0, 2.0, 3.0, 0.5, 2.0]
+        ys = [1.0, 5.0, 2.0, 2.0, 7.0, 1.0, 4.0]
+        assert spearman(xs, ys) == pearson(
+            [6, 2, 6, 3.5, 6, 1, 3.5], [1.5, 6, 3.5, 3.5, 7, 1.5, 5]
+        )
+
+    def test_spearman_constant_series(self):
+        assert spearman([2, 2, 2], [1, 2, 3]) == 0.0
+
 
 class TestFig11:
     @pytest.fixture(scope="class")

@@ -1,17 +1,20 @@
 """Integration tests for the parallel, cache-backed sweep runner."""
 
+import math
+import os
 import time
 
 import pytest
 
 from repro.experiments import (
+    CellConfig,
     ExperimentSpec,
     ResultStore,
     SweepRunner,
     TraceSpec,
     run_experiment,
 )
-from repro.experiments.runner import _worker_cache_probe
+from repro.experiments.runner import _dispatch_plan, _refit_model, _worker_cache_probe
 from repro.scoring.regression import fit_for_hardware
 from repro.sim.cluster import run_all_policies
 
@@ -125,6 +128,101 @@ def _paced_cache_probe(token: int):
     """
     time.sleep(0.05)
     return _worker_cache_probe(token)
+
+
+def _paced_refit_probe(_token: int):
+    """``(pid, Eq. 2 refit misses)`` of a pool worker, paced like
+    :func:`_paced_cache_probe` so every worker answers one."""
+    time.sleep(0.05)
+    return os.getpid(), _refit_model.cache_info().misses
+
+
+PAPER_TOPOLOGIES = (
+    "dgx1-v100", "dgx1-p100", "dgx2", "summit", "torus-2d-16", "cube-mesh-16",
+)
+
+
+def _cells(topologies, policies, num_jobs=10):
+    return ExperimentSpec(
+        name="plan",
+        topologies=topologies,
+        policies=policies,
+        trace=TraceSpec(num_jobs=num_jobs),
+        model="paper",
+    ).expand()
+
+
+class TestDispatchPlan:
+    def test_paper_grid_is_grouped_by_wiring_largest_first(self):
+        cells = _cells(PAPER_TOPOLOGIES, ("baseline", "topo-aware", "greedy", "preserve"))
+        plan = _dispatch_plan(cells, 2)
+        assert sorted(i for piece in plan for i in piece) == list(range(len(cells)))
+        cap = math.ceil(len(cells) / 2)
+        for piece in plan:
+            assert len({cells[i].topology for i in piece}) == 1
+            assert 1 <= len(piece) <= cap
+        assert [cells[piece[0]].topology for piece in plan] == [
+            "dgx2", "torus-2d-16", "cube-mesh-16", "dgx1-v100", "dgx1-p100", "summit",
+        ]
+
+    def test_weight_counts_cells_jobs_and_gpus(self):
+        cells = (
+            _cells(("dgx1-v100",), ("baseline",), num_jobs=30)
+            + _cells(("dgx2",), ("baseline",), num_jobs=10)
+            + _cells(("summit",), ("baseline", "preserve"), num_jobs=30)
+        )
+        # 8 × 30 = 240 and 6 × 30 × 2 = 360 outweigh 16 × 10 = 160.
+        assert _dispatch_plan(cells, 2) == [[2, 3], [0], [1]]
+
+    def test_one_wiring_is_split_across_workers(self):
+        cells = _cells(("dgx1-v100",), ("baseline", "topo-aware", "greedy", "preserve"))
+        assert _dispatch_plan(cells, 2) == [[0, 1], [2, 3]]
+        assert _dispatch_plan(cells[:3], 2) == [[0, 1], [2]]
+
+    def test_two_cell_boot_stays_two_pieces(self):
+        cells = _cells(("big-basin",), ("baseline", "topo-aware"))
+        assert _dispatch_plan(cells, 2) == [[0], [1]]
+
+
+class TestAffineDispatch:
+    @pytest.fixture(scope="class")
+    def refit_spec(self):
+        return ExperimentSpec(
+            name="affine",
+            topologies=("dgx1-v100", "dgx1-p100", "summit"),
+            policies=("baseline", "preserve"),
+            trace=TraceSpec(num_jobs=8),
+            model="refit",
+        )
+
+    def test_each_wiring_is_refit_once_across_workers(self, refit_spec):
+        _refit_model.cache_clear()  # the pool forks after this
+        with SweepRunner(jobs=2) as runner:
+            runner.run(refit_spec)
+            probes = dict(runner._pool.map(_paced_refit_probe, range(6)))
+        assert len(probes) == 2  # both workers answered
+        assert sum(probes.values()) == len(refit_spec.topologies)
+
+    def test_parallel_equals_serial_across_wirings(self, refit_spec):
+        serial = SweepRunner(jobs=1).run(refit_spec)
+        with SweepRunner(jobs=2) as runner:
+            parallel = runner.run(refit_spec)
+        assert parallel.cells == serial.cells
+        for cell in refit_spec.expand():
+            assert (
+                parallel.results[cell].log.to_dict()
+                == serial.results[cell].log.to_dict()
+            )
+        assert [row[:-1] for row in parallel.summary_rows()] == [
+            row[:-1] for row in serial.summary_rows()
+        ]
+
+    def test_worker_error_is_reraised(self):
+        good = _cells(("dgx1-v100",), ("baseline",))[0]
+        bad = CellConfig("summit", "no-such-policy", "fifo", good.trace, model="paper")
+        with SweepRunner(jobs=2) as runner:
+            with pytest.raises(Exception, match="no-such-policy"):
+                runner.run([good, bad])
 
 
 class TestSweepRunnerPoolReuse:

@@ -1,7 +1,8 @@
 """Structural ratchet: the size and shape of ``src/`` as pinned numbers.
 
-Line counts per package, the modules over :data:`LARGE_MODULE` lines and
-the broad ``except`` handlers per module are pinned like a golden table.
+Line counts per package, the modules over :data:`LARGE_MODULE` lines,
+the broad ``except`` handlers per module and the third-party modules
+``src/`` imports are pinned like a golden table.
 A change that moves any of them edits the table in the same diff: growth
 becomes a deliberate, reported change, and a deletion shows its win.
 :data:`TARGETS` records the size goals next to the pinned numbers; a met
@@ -13,12 +14,18 @@ The test reads source files with ``ast`` only and imports nothing from
 """
 
 import ast
+import importlib.util
+import sys
+import sysconfig
 from collections import Counter
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, Tuple
+from typing import Dict, Set, Tuple
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+#: Where this interpreter's standard library lives.
+STDLIB = Path(sysconfig.get_paths()["stdlib"]).resolve()
 
 #: A module above this many lines is listed in :data:`LARGE_MODULES`.
 LARGE_MODULE = 800
@@ -26,33 +33,33 @@ LARGE_MODULE = 800
 #: ``package -> lines`` under ``src/repro`` (``.`` is the top-level modules).
 PACKAGE_LINES = {
     ".": 1900,
-    "allocator": 817,
-    "analysis": 605,
+    "allocator": 829,
+    "analysis": 595,
     "appgraph": 502,
-    "cluster": 2772,
-    "comm": 862,
-    "data": 82,
-    "experiments": 1720,
-    "matching": 530,
+    "cluster": 2768,
+    "comm": 858,
+    "data": 78,
+    "experiments": 1770,
+    "matching": 521,
     "policies": 1330,
     "scenarios": 1288,
-    "scoring": 1191,
+    "scoring": 1186,
     "serve": 1636,
-    "sim": 2662,
+    "sim": 2634,
     "topology": 1297,
-    "workloads": 590,
+    "workloads": 617,
 }
 
 #: Lines of every ``.py`` file under ``src/repro``.
-TOTAL_LINES = 19784
+TOTAL_LINES = 19809
 
 #: ``module -> lines`` for every module over :data:`LARGE_MODULE` lines.
 LARGE_MODULES = {
     "cli.py": 1586,
-    "cluster/scheduler.py": 861,
+    "cluster/scheduler.py": 857,
     "cluster/sharding.py": 1728,
     "serve/daemon.py": 1056,
-    "sim/records.py": 936,
+    "sim/records.py": 908,
 }
 
 #: ``module -> handlers`` catching everything: a bare ``except``, or one
@@ -63,6 +70,9 @@ BROAD_EXCEPTS = {
     "ioutils.py": 2,
     "serve/daemon.py": 2,
 }
+
+#: Top-level third-party modules imported anywhere under ``src/repro``.
+THIRD_PARTY = {"networkx", "numpy"}
 
 #: ``(module or "src", max lines, met)``.  A met row is asserted; an unmet
 #: row asserts that it is still unmet, so meeting it flips the row here.
@@ -84,22 +94,52 @@ def _is_broad(handler: ast.ExceptHandler) -> bool:
     return any(isinstance(n, ast.Name) and n.id in _BROAD for n in names)
 
 
+def _imported(node: ast.AST) -> Tuple[str, ...]:
+    """Top-level names an absolute import statement binds a module from."""
+    if isinstance(node, ast.Import):
+        return tuple(alias.name.partition(".")[0] for alias in node.names)
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return (node.module.partition(".")[0],)
+    return ()
+
+
+def _is_stdlib(name: str) -> bool:
+    """Whether top-level module ``name`` ships with the interpreter.
+
+    Located with ``find_spec``, which runs no module code; a module that
+    is not installed counts as third-party.
+    """
+    if name in sys.builtin_module_names:
+        return True
+    spec = importlib.util.find_spec(name)
+    if spec is None or spec.origin is None:
+        return False
+    if spec.origin == "frozen":
+        return True
+    path = Path(spec.origin).resolve()
+    installed = {"site-packages", "dist-packages"} & set(path.parts)
+    return STDLIB in path.parents and not installed
+
+
 @lru_cache(maxsize=None)
-def scan() -> Tuple[Dict[str, int], Dict[str, int]]:
-    """``(module -> lines, module -> broad handlers)`` over ``src/repro``."""
-    lines, broad = {}, {}
+def scan() -> Tuple[Dict[str, int], Dict[str, int], Set[str]]:
+    """``(module -> lines, module -> broad handlers, third-party imports)``
+    over ``src/repro``."""
+    lines, broad, imported = {}, {}, set()
     for path in sorted(SRC.rglob("*.py")):
         module = path.relative_to(SRC).as_posix()
         text = path.read_text(encoding="utf-8")
         lines[module] = text.count("\n")
+        nodes = list(ast.walk(ast.parse(text)))
         handlers = sum(
-            _is_broad(node)
-            for node in ast.walk(ast.parse(text))
-            if isinstance(node, ast.ExceptHandler)
+            _is_broad(node) for node in nodes if isinstance(node, ast.ExceptHandler)
         )
         if handlers:
             broad[module] = handlers
-    return lines, broad
+        for node in nodes:
+            imported.update(_imported(node))
+    third_party = {n for n in imported - {"repro"} if not _is_stdlib(n)}
+    return lines, broad, third_party
 
 
 def package_lines() -> Dict[str, int]:
@@ -129,6 +169,10 @@ def test_broad_excepts_are_pinned():
     assert scan()[1] == BROAD_EXCEPTS
 
 
+def test_third_party_imports_are_pinned():
+    assert scan()[2] == THIRD_PARTY
+
+
 def test_size_targets():
     lines = scan()[0]
     for module, limit, met in TARGETS:
@@ -146,6 +190,7 @@ if __name__ == "__main__":  # pragma: no cover - table regeneration
                 "TOTAL_LINES": sum(scan()[0].values()),
                 "LARGE_MODULES": large_modules(),
                 "BROAD_EXCEPTS": scan()[1],
+                "THIRD_PARTY": sorted(scan()[2]),
             },
             indent=4,
         )

@@ -1,5 +1,7 @@
 """Unit tests for jobs, job files and the trace generator."""
 
+import dataclasses
+
 import pytest
 
 from repro.appgraph import patterns
@@ -33,6 +35,34 @@ class TestJob:
             Job(1, "vgg-16", 0, "ring", True)
         with pytest.raises(ValueError):
             Job(1, "vgg-16", 2, "ring", True, submit_time=-1.0)
+
+    def test_construction_contract(self):
+        """The hand-written ``__init__`` keeps the dataclass contract."""
+        positional = Job(3, "vgg-16", 2, "ring", True, 4.5)
+        keyword = Job(
+            job_id=3,
+            workload="vgg-16",
+            num_gpus=2,
+            pattern="ring",
+            bandwidth_sensitive=True,
+            submit_time=4.5,
+        )
+        assert positional == keyword
+        assert hash(positional) == hash(keyword)
+        assert repr(keyword) == (
+            "Job(job_id=3, workload='vgg-16', num_gpus=2, pattern='ring', "
+            "bandwidth_sensitive=True, submit_time=4.5)"
+        )
+        assert Job(3, "vgg-16", 2, "ring", True).submit_time == 0.0
+        assert dataclasses.replace(keyword, num_gpus=4).num_gpus == 4
+        with pytest.raises(ValueError, match=r"^job 3: num_gpus must be ≥ 1$"):
+            Job(3, "vgg-16", 0, "ring", True)
+        with pytest.raises(ValueError, match=r"^job 3: negative submit time$"):
+            Job(3, "vgg-16", 2, "ring", True, submit_time=-0.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            keyword.num_gpus = 8
+        with pytest.raises(TypeError):
+            Job(3, "vgg-16", 2, "ring")
 
     def test_csv_roundtrip(self):
         job = Job(5, "resnet-50", 3, "ring", True, submit_time=1.5)
