@@ -4,8 +4,8 @@ The dynamics axis (:mod:`repro.scenarios.dynamics`) injects server
 failure/repair, autoscale grow/shrink and preemption into a fleet
 replay as first-class seeded events.  Its contract is the same one
 every other replay path carries: a fixed seed must produce the same
-log byte for byte on every engine (``cached`` / ``batch``) and every
-shard count — chaos included.
+log byte for byte on every engine (``cached`` / ``batch``) — chaos
+included.
 
 Four deterministic tables (all golden-snapshotted):
 
@@ -16,8 +16,8 @@ Four deterministic tables (all golden-snapshotted):
    changes absorbed mid-replay;
 3. ``chaos_preempt`` — preemption count × victim policy;
 4. ``chaos_mixed`` — the full-chaos identity matrix: one scenario with
-   all axes enabled, replayed on every engine and at 1/2/4 process
-   shards, each digest shown and gated identical.
+   all axes enabled, replayed on every engine, each digest shown and
+   gated identical.
 
 The mixed-scenario digest is additionally gated against the committed
 ``BENCH_fleet_chaos.json`` baseline, so any replay-order or float
@@ -40,7 +40,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.analysis.tables import format_table
-from repro.cluster import run_cluster, run_sharded
+from repro.cluster import run_cluster
 from repro.ioutils import atomic_write_text
 from repro.scenarios import (
     DynamicsSpec,
@@ -66,9 +66,6 @@ NUM_JOBS = 1_200
 
 #: Chaos events are drawn inside this window (arrivals span ~600 s).
 HORIZON = 600.0
-
-#: Shard counts exercised by the identity matrix (process mode).
-SHARD_COUNTS = (1, 2, 4)
 
 #: The full-chaos scenario the identity matrix and digest gate replay.
 MIXED_DYNAMICS = DynamicsSpec(
@@ -260,17 +257,6 @@ def _mixed_matrix(
         # "/columnar" names the replay core, as the golden rows always have.
         digests.append((f"{engine}/columnar", _digest(sim.log)))
         all_stats[engine] = sim.log.cache_stats or {}
-    for shards in SHARD_COUNTS:
-        log = run_sharded(
-            fleet,
-            job_file,
-            shards,
-            engine="cached",
-            mode="process",
-            dynamics=MIXED_DYNAMICS,
-        )
-        digests.append((f"sharded×{shards}", _digest(log)))
-        all_stats[f"sharded_{shards}"] = log.cache_stats or {}
     reference = digests[0][1]
     identical = all(d == reference for _, d in digests)
     done, makespan, mean_wait, p95 = _metrics(
@@ -342,8 +328,7 @@ def build_tables() -> Tuple[Dict[str, str], Dict[str, object], bool]:
 def _assert_gates(gates: Dict[str, object], identical: bool) -> None:
     """The CI gates, shared by pytest and standalone runs."""
     assert identical, (
-        "full-chaos replays are not byte-identical across engines "
-        "and shard counts"
+        "full-chaos replays are not byte-identical across engines"
     )
     if os.path.exists(BASELINE_PATH):
         with open(BASELINE_PATH, "r", encoding="utf-8") as fh:

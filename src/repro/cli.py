@@ -29,15 +29,14 @@ Subcommands
     cold replay, ``warm`` warm-starts a replay from it and reports the
     first-pass hit rate.  In-memory scan-cache hit/miss statistics are
     embedded directly in the output of the runs that use it (``trace``,
-    ``scenario --fleet``).  ``--shards N`` runs the tier replay through
-    the sharded scheduler instead, one scan cache per shard.
+    ``scenario --fleet``).
 ``fleet``
     Sharded fleet-scale replay: partition a heterogeneous fleet into N
     multi-process scheduler shards sharing one read-only topology
     segment, replay a deterministic scenario, and print throughput, the
     canonical log digest, and aggregate plus per-shard cache counters.
 ``serve``
-    Run the allocation daemon: a MAPA scheduler (single or sharded)
+    Run the allocation daemon: one in-process MAPA fleet scheduler
     behind a unix socket or TCP port speaking newline-delimited JSON,
     with admission control, request batching and graceful drain into
     the persistent scan tier.  ``--bench`` self-hosts a daemon and
@@ -343,42 +342,16 @@ def _scenario_fleet_replay(args: argparse.Namespace, spec) -> int:
         # Export exactly the (size-resolved) trace the replay consumes.
         job_file.save(args.output)
         print(f"trace written to {args.output}")
-    if args.shards:
-        from .cluster import (
-            SHARDABLE_NODE_POLICIES,
-            ShardedFleetScheduler,
-            ShardedFleetSimulator,
-        )
-
-        if args.scheduling != "fifo":
-            raise ValueError(
-                "--shards replays dispatch FIFO only; drop --scheduling"
-            )
-        if args.node_policy not in SHARDABLE_NODE_POLICIES:
-            raise ValueError(
-                f"node policy {args.node_policy!r} cannot be sharded; "
-                f"shardable: {', '.join(SHARDABLE_NODE_POLICIES)}"
-            )
-        with ShardedFleetScheduler(
-            fleet,
-            args.shards,
-            gpu_policy=args.policy,
-            node_policy=args.node_policy,
-        ) as scheduler:
-            fleet_sim = ShardedFleetSimulator(scheduler)
-            log = fleet_sim.run(job_file, dynamics=resolved.dynamics)
-            per_server = fleet_sim.jobs_per_server()
-    else:
-        sim = run_cluster(
-            fleet.build(),
-            job_file,
-            gpu_policy=args.policy,
-            node_policy=args.node_policy,
-            scheduling=args.scheduling,
-            dynamics=resolved.dynamics,
-        )
-        log = sim.log
-        per_server = sim.jobs_per_server()
+    sim = run_cluster(
+        fleet.build(),
+        job_file,
+        gpu_policy=args.policy,
+        node_policy=args.node_policy,
+        scheduling=args.scheduling,
+        dynamics=resolved.dynamics,
+    )
+    log = sim.log
+    per_server = sim.jobs_per_server()
     waits = [r.wait_time for r in log.records]
     sens = [r.measured_effective_bw for r in log.sensitive() if r.num_gpus > 1]
     rows = [
@@ -396,12 +369,9 @@ def _scenario_fleet_replay(args: argparse.Namespace, spec) -> int:
     ]
     if resolved.dynamics is not None and not resolved.dynamics.is_empty():
         rows.insert(1, ["dynamics", resolved.dynamics.describe()])
-    if args.shards:
-        rows.insert(1, ["shards", str(args.shards)])
     cache_line = _scan_cache_line(log.cache_stats)
     if cache_line is not None:
         rows.append(["scan cache", cache_line])
-    rows.extend(_per_shard_cache_rows(log.cache_stats))
     print(
         format_table(
             ["metric", "value"],
@@ -460,13 +430,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
             spec,
             f"{args.num_jobs}-job {spec.name} scenario (seed {args.seed})",
         )
-    if args.shards and not args.fleet:
-        print(
-            "scenario: --shards requires --fleet (shards partition a "
-            "multi-server fleet)",
-            file=sys.stderr,
-        )
-        return 2
     if args.fleet:
         try:
             return _scenario_fleet_replay(args, spec)
@@ -515,12 +478,6 @@ def _cache_tier_replay(args: argparse.Namespace, store) -> int:
     rate (validating it).  Both replay the same deterministic scenario
     for a given (fleet, jobs, seed), so a ``spill`` followed by a
     ``warm`` demonstrates the cross-process reuse end to end.
-
-    With ``--shards N`` the replay runs through the sharded scheduler:
-    every shard owns a scan cache attached to the same on-disk tier
-    (content-addressed keys make concurrent population safe), ``warm``
-    warm-starts each shard from it, and ``spill`` writes every shard's
-    winners back.
     """
     import time as _time
 
@@ -544,35 +501,18 @@ def _cache_tier_replay(args: argparse.Namespace, store) -> int:
     spill = ScanSpillStore(store.root)
     written: Optional[int] = None
     started = _time.perf_counter()
-    if args.shards:
-        from .cluster import ShardedFleetScheduler, ShardedFleetSimulator
-
-        # Sharded tier replay: every shard owns a scan cache keyed by
-        # the same content-addressed wiring hashes, so they all load
-        # from — and spill into — the one on-disk tier.
-        with ShardedFleetScheduler(
-            fleet,
-            args.shards,
-            gpu_policy=args.policy,
-            scan_spill_root=store.root,
-        ) as scheduler:
-            log = ShardedFleetSimulator(scheduler).run(job_file)
-            if args.action == "spill":
-                written = scheduler.spill_scan_cache()
-    else:
-        cache = ScanCache()
-        sim = run_cluster(
-            fleet.build(),
-            job_file,
-            gpu_policy=args.policy,
-            scan_cache=cache,
-            scan_spill=spill if args.action == "warm" else None,
-        )
-        log = sim.log
-        if args.action == "spill":
-            written = spill.spill(cache)
+    cache = ScanCache()
+    sim = run_cluster(
+        fleet.build(),
+        job_file,
+        gpu_policy=args.policy,
+        scan_cache=cache,
+        scan_spill=spill if args.action == "warm" else None,
+    )
+    if args.action == "spill":
+        written = spill.spill(cache)
     wall = _time.perf_counter() - started
-    stats = log.cache_stats or {}
+    stats = sim.log.cache_stats or {}
     rows = [
         ["tier dir", spill.scan_root],
         ["fleet", f"{fleet.num_servers} servers ({fleet.label()})"],
@@ -583,9 +523,6 @@ def _cache_tier_replay(args: argparse.Namespace, store) -> int:
             f"{100.0 * float(stats.get('scan_hit_rate', 0.0)):.1f}%",
         ],
     ]
-    if args.shards:
-        rows.insert(2, ["shards", str(args.shards)])
-        rows.extend(_per_shard_cache_rows(stats))
     if args.action == "spill":
         rows.append(["tier entries written", str(written)])
         title = "Scan tier — spilled from a cold replay"
@@ -649,7 +586,6 @@ def _serve_config(args: argparse.Namespace):
 
     return DaemonConfig(
         fleet=args.fleet,
-        shards=args.shards,
         gpu_policy=args.policy,
         node_policy=args.node_policy,
         queue_limit=args.queue_limit,
@@ -659,7 +595,6 @@ def _serve_config(args: argparse.Namespace):
         spill_root=args.spill_dir,
         metrics_json=args.metrics_json,
         drain_grace=args.drain_grace,
-        shard_mode=args.mode,
     )
 
 
@@ -693,7 +628,6 @@ def _serve_bench(args: argparse.Namespace) -> int:
     counters = stats["counters"]
     rows = [
         ["fleet", args.fleet],
-        ["backend", f"{args.shards} shards" if args.shards else "single"],
         ["jobs submitted", str(report.submitted)],
         ["requests (incl. releases)", str(report.requests)],
         ["allocated / noroom", f"{report.allocated} / {report.noroom}"],
@@ -904,7 +838,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     )
     print(
         f"fit quality: rel.err={quality.relative_error:.4f} "
-        f"RMSE={quality.rmse:.3f} MAE={quality.mae:.3f} R²={quality.r_squared:.4f}"
+        f"RMSE={quality.rmse:.3f} MAE={quality.mae:.3f} "
+        f"R²={quality.r_squared:.4f} "
+        f"rank={quality.rank} residual dof={quality.residual_dof}"
     )
     return 0
 
@@ -1172,17 +1108,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep output format",
     )
     p_scen.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help=(
-            "with --fleet: replay through this many scheduler shards "
-            "(0 = the classic single-scheduler path; FIFO only, "
-            "shardable node policies only; the log is byte-identical "
-            "either way)"
-        ),
-    )
-    p_scen.add_argument(
         "--dynamics",
         help=(
             "seeded fleet-chaos axis as key=value pairs, e.g. "
@@ -1262,17 +1187,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=POLICY_NAMES,
         help="with `warm`/`spill`: GPU-selection policy",
     )
-    p_cache.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help=(
-            "with `warm`/`spill`: replay through this many scheduler "
-            "shards, each with its own scan cache attached to the one "
-            "on-disk tier (0 = single scheduler); reports per-shard "
-            "hit rates"
-        ),
-    )
     p_cache.set_defaults(func=_cmd_cache)
 
     p_serve = sub.add_parser(
@@ -1284,10 +1198,8 @@ def build_parser() -> argparse.ArgumentParser:
             "owns admission control (bounded wait queue, per-tenant "
             "quotas), dispatches as soon as work arrives while coalescing "
             "a pipelined burst (bounded by --flush-window) into a single "
-            "scheduler dispatch, and on drain spills the "
-            "warm scan cache to the persistent tier so a restart starts "
-            "hot.  --shards N swaps the in-process scheduler for the "
-            "sharded fleet scheduler behind the same protocol.  --bench "
+            "scheduler dispatch, and on drain spills the warm scan cache "
+            "to the persistent tier so a restart starts hot.  --bench "
             "self-hosts a daemon, pumps a seeded scenario through it "
             "and reports sustained requests/sec."
         ),
@@ -1305,18 +1217,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fleet spec, topo[:count],… (see `mapa topos`)",
     )
     p_serve.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="scheduler shards (0 = single in-process scheduler)",
-    )
-    p_serve.add_argument(
-        "--mode",
-        default="process",
-        choices=("process", "inline"),
-        help="shard execution mode (inline = same-process, for tests)",
-    )
-    p_serve.add_argument(
         "--policy",
         default="preserve",
         choices=POLICY_NAMES,
@@ -1325,8 +1225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--node-policy",
         default="first-fit",
-        choices=("first-fit", "pack", "spread"),
-        help="server-selection policy (shardable subset)",
+        choices=NODE_POLICIES,
+        help="server-selection policy",
     )
     p_serve.add_argument(
         "--queue-limit",

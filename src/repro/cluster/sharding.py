@@ -48,14 +48,9 @@ which never decline a count-feasible server.  The mirror then predicts
 the exact server every placement lands on; each shard verifies the
 prediction and raises on the first mismatch.
 
-**Fleet dynamics.**  Seeded chaos scenarios
-(:class:`~repro.scenarios.dynamics.DynamicsSpec` — failure/repair,
-autoscale grow/shrink, preemption) replay byte-identically too: the
-parent mirrors every server's lifecycle status, flushes all buffered
-work before each mutation, and applies the same mirror delta the shard
-applies to its own index (deactivate on fail/drain, activate on
-repair, append-on-last-shard for autoscale growth, so global indices
-stay contiguous).
+**Scope.**  Only the static-fleet FIFO replay is sharded: fleet
+dynamics, other queue disciplines, the persistent scan tier and the
+daemon all run on the single-process scheduler.
 """
 
 from __future__ import annotations
@@ -65,7 +60,6 @@ import gc
 import itertools
 import multiprocessing
 import os
-from bisect import bisect_right
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -88,7 +82,7 @@ from ..comm.microbench import peak_effective_bandwidth, release_graph_memo
 from ..scenarios.fleet import FleetSpec
 from ..scoring.effective import EffectiveBandwidthModel, PAPER_MODEL
 from ..scoring.memo import ScanCache
-from ..sim.engine import EventEngine, FLEET_PRIORITY
+from ..sim.engine import EventEngine
 from ..sim.records import SimulationLog
 from ..topology.builders import by_name
 from ..topology.hardware import HardwareGraph
@@ -99,7 +93,6 @@ from .scheduler import CandidateServerIndex, MultiServerScheduler
 
 _ARRIVAL = "arrival"
 _COMPLETION = "completion"
-_FLEET = "fleet"
 
 #: Node policies whose winner is a pure function of per-server free
 #: counts — the ones the parent-side mirror can route exactly.
@@ -439,7 +432,6 @@ class _ShardConfig:
     node_policy: str
     model: EffectiveBandwidthModel
     engine: str
-    scan_spill_root: Optional[str]
     manifest: Optional[SharedFleetManifest]
 
 
@@ -488,13 +480,6 @@ class _ShardRuntime:
                     hardware.adopt_link_table(table)
                 by_topology[name] = hardware
             servers.append(hardware)
-        spill = None
-        if cfg.scan_spill_root:
-            # Lazy import keeps the cluster layer's dependency on the
-            # experiments layer soft (same duck-typing as the scheduler).
-            from ..experiments.spill import ScanSpillStore
-
-            spill = ScanSpillStore(cfg.scan_spill_root)
         self.scheduler = MultiServerScheduler(
             servers,
             gpu_policy=cfg.gpu_policy,
@@ -502,7 +487,6 @@ class _ShardRuntime:
             model=cfg.model,
             engine=cfg.engine,
             scan_cache=ScanCache() if cfg.engine == "cached" else None,
-            scan_spill=spill,
         )
         self._mbw_memo: Dict[Tuple[str, Tuple[int, ...]], float] = {}
         self._mbw_lookups = 0
@@ -512,23 +496,15 @@ class _ShardRuntime:
 
     # -------------------------------------------------------------- #
     def publish_state(self, locals_touched) -> None:
-        """Write touched servers' free bitmask/count into the segment.
-
-        Servers grown past the published fleet have no slot in the
-        (fixed-size) segment and are skipped; the parent mirrors carry
-        their state instead.
-        """
+        """Write touched servers' free bitmask/count into the segment."""
         if self.view is None:
             return
         start = self.cfg.start
-        limit = self.view.manifest.num_servers
         bitmask = self.view.free_bitmask
         counts = self.view.free_counts
         engines = self.scheduler.engines
         for local in locals_touched:
             slot = start + local
-            if slot >= limit:
-                continue
             state = engines[local].state
             bitmask[slot] = state.free_bitmask
             counts[slot] = state.num_free
@@ -557,14 +533,6 @@ class _ShardRuntime:
         value piggybacks the shard index's bucket summary so the parent
         verifies its routing mirror on every flush without an extra
         round trip.
-
-        Fleet-dynamics mutations arrive as single-op batches (the
-        parent flushes all buffered work first): ``("f", local)`` fails
-        a server (reply ``("f", casualty_ids)`` in allocation order),
-        ``("u", local)`` repairs one (reply ``("u", ok, free)``),
-        ``("d", local)`` drains one (reply ``("d", ok)``), and
-        ``("a", topology)`` grows the shard by one server (reply
-        ``("a", local, capacity, free)``).
         """
         scheduler = self.scheduler
         replies: List[Tuple] = []
@@ -619,28 +587,6 @@ class _ShardRuntime:
             elif op[0] == "r":
                 local, _freed = scheduler.release(op[1])
                 touched.add(local)
-            elif op[0] == "f":
-                local = op[1]
-                casualties = scheduler.fail_server(local)
-                touched.add(local)
-                replies.append(("f", tuple(casualties)))
-            elif op[0] == "u":
-                local = op[1]
-                ok = scheduler.repair_server(local)
-                touched.add(local)
-                replies.append(
-                    ("u", ok, scheduler.engines[local].state.num_free)
-                )
-            elif op[0] == "d":
-                replies.append(("d", scheduler.drain_server(op[1])))
-            elif op[0] == "a":
-                local = scheduler.grow_server(op[1])
-                touched.add(local)
-                engine = scheduler.engines[local]
-                replies.append(
-                    ("a", local, engine.hardware.num_gpus,
-                     engine.state.num_free)
-                )
             else:  # pragma: no cover - defensive
                 raise RuntimeError(f"unknown shard op {op[0]!r}")
         self.publish_state(touched)
@@ -724,11 +670,6 @@ def _shard_reset(token: int, shard_id: int) -> Tuple[int, Tuple[int, ...]]:
     runtime.scheduler.reset()
     runtime.publish_state(range(runtime.scheduler.num_servers))
     return runtime.scheduler.candidate_index.bucket_summary()
-
-
-def _shard_spill(token: int, shard_id: int) -> int:
-    """Spill one shard's scan cache to the persistent tier."""
-    return _SHARDS[(token, shard_id)].scheduler.spill_scan_cache()
 
 
 def _shard_pid(token: int, shard_id: int) -> int:
@@ -863,9 +804,6 @@ class ShardedFleetScheduler:
         ``"inline"`` runs every shard in the calling process through
         the same code path — no IPC, same results, the test suite's
         fast mode.
-    scan_spill_root:
-        Optional persistent scan-tier directory handed to every shard
-        (each shard loads/spills the wirings it owns).
     use_shared_memory:
         Publish link tables + fleet state through shared memory.
         Defaults to ``True`` in process mode, ``False`` inline (where
@@ -883,7 +821,6 @@ class ShardedFleetScheduler:
         model: EffectiveBandwidthModel = PAPER_MODEL,
         engine: str = "cached",
         mode: str = "process",
-        scan_spill_root: Optional[str] = None,
         use_shared_memory: Optional[bool] = None,
     ) -> None:
         if node_policy not in SHARDABLE_NODE_POLICIES:
@@ -912,13 +849,6 @@ class ShardedFleetScheduler:
         servers = fleet.build()
         self._capacities = [hw.num_gpus for hw in servers]
         self._max_capacity = max(self._capacities)
-        # Fleet-dynamics bookkeeping: the parent tracks every server's
-        # lifecycle status ("up" / "failed" / "drained") in lockstep
-        # with the shard schedulers, so guards and routing never need a
-        # round trip.  ``_initial_servers`` is the reset() watermark —
-        # autoscale-grown servers beyond it are dropped on reset.
-        self._status: List[str] = ["up"] * len(servers)
-        self._initial_servers = len(servers)
         names = fleet.topologies
         if use_shared_memory is None:
             use_shared_memory = mode == "process"
@@ -954,7 +884,6 @@ class ShardedFleetScheduler:
                         node_policy=node_policy,
                         model=model,
                         engine=engine,
-                        scan_spill_root=scan_spill_root,
                         manifest=manifest,
                     )
                 )
@@ -1004,7 +933,7 @@ class ShardedFleetScheduler:
 
     @property
     def num_servers(self) -> int:
-        """Servers in the fleet (including any autoscale-grown ones)."""
+        """Servers in the fleet."""
         return len(self._capacities)
 
     @property
@@ -1098,116 +1027,6 @@ class ShardedFleetScheduler:
                 f"routing mirror {expected} — state desync"
             )
 
-    # -------------------------------------------------------------- #
-    # fleet dynamics (failure / repair / autoscale)
-    # -------------------------------------------------------------- #
-    def _locate(self, server: int) -> Tuple[int, int]:
-        """``(shard, local)`` for a global index (grown servers → last)."""
-        b = self.plan.boundaries
-        if server >= b[-1]:
-            shard = self.plan.num_shards - 1
-        else:
-            shard = bisect_right(b, server) - 1
-        return shard, server - b[shard]
-
-    def _fleet_op(self, shard: int, op: Tuple) -> Tuple[Tuple, Tuple]:
-        """Apply one mutation shard-side; returns ``(reply, summary)``.
-
-        Fleet mutations never share a batch with buffered placements or
-        releases — the simulator flushes first — so the mirror update
-        the caller performs is the only delta between the pre- and
-        post-op bucket summaries.
-        """
-        if self.has_pending:
-            raise RuntimeError("fleet mutations require a flushed scheduler")
-        replies, summary = self._call_one(
-            shard, _shard_exec, self._token, shard, [op]
-        )
-        return replies[0], summary
-
-    def server_status(self, server: int) -> str:
-        """One server's lifecycle status (``up``/``failed``/``drained``)."""
-        return self._status[server]
-
-    def max_active_capacity(self, exclude: Optional[int] = None) -> int:
-        """Largest GPU capacity over up servers (optionally minus one).
-
-        The parent-local deadlock guard, identical to
-        :meth:`MultiServerScheduler.max_active_capacity` — statuses are
-        mirrored in lockstep, so no round trip is needed.
-        """
-        best = 0
-        for i, cap in enumerate(self._capacities):
-            if i == exclude or self._status[i] != "up":
-                continue
-            if cap > best:
-                best = cap
-        return best
-
-    def fail_server(self, server: int) -> List[Hashable]:
-        """Take one (global) server down; casualties in allocation order.
-
-        No-op (empty list) unless currently up.  The shard releases
-        every allocation and deactivates the server; the mirror applies
-        the same delta (full free count, out of every bucket) before
-        the piggybacked summary is verified.
-        """
-        if self._status[server] != "up":
-            return []
-        shard, local = self._locate(server)
-        reply, summary = self._fleet_op(shard, ("f", local))
-        self._status[server] = "failed"
-        mirror = self._mirrors[shard]
-        mirror.set_free(local, self._capacities[server])
-        mirror.deactivate(local)
-        self._verify_summary(shard, summary)
-        return list(reply[1])
-
-    def repair_server(self, server: int) -> bool:
-        """Bring a failed server back into routing; no-op unless failed."""
-        if self._status[server] != "failed":
-            return False
-        shard, local = self._locate(server)
-        reply, summary = self._fleet_op(shard, ("u", local))
-        self._status[server] = "up"
-        self._mirrors[shard].activate(local, free=reply[2])
-        self._verify_summary(shard, summary)
-        return True
-
-    def drain_server(self, server: int) -> bool:
-        """Autoscale shrink: stop routing to ``server``; jobs finish
-        naturally (their releases land on the inactive mirror slot).
-        No-op unless currently up."""
-        if self._status[server] != "up":
-            return False
-        shard, local = self._locate(server)
-        _reply, summary = self._fleet_op(shard, ("d", local))
-        self._status[server] = "drained"
-        self._mirrors[shard].deactivate(local)
-        self._verify_summary(shard, summary)
-        return True
-
-    def grow_server(self, topology: str) -> int:
-        """Autoscale grow: one new ``topology`` server; returns its index.
-
-        Growth lands on the *last* shard, which keeps global indices
-        contiguous — the new server's global index is the old fleet
-        size, exactly where the single-process scheduler appends — so
-        routing's lowest-index tie-break decomposes over shards
-        unchanged.
-        """
-        shard = self.plan.num_shards - 1
-        reply, summary = self._fleet_op(shard, ("a", topology))
-        _tag, local, capacity, free = reply
-        gidx = self.plan.start(shard) + local
-        self._capacities.append(capacity)
-        self._status.append("up")
-        if capacity > self._max_capacity:
-            self._max_capacity = capacity
-        self._mirrors[shard].add_server(free, capacity)
-        self._verify_summary(shard, summary)
-        return gidx
-
     def flush(self) -> List[Tuple[Job, int, int, int, float, Tuple]]:
         """Execute every buffered batch; replies in global dispatch order.
 
@@ -1271,13 +1090,11 @@ class ShardedFleetScheduler:
                     f"{self._mirrors[s].snapshot()}"
                 )
             if self._view is not None:
-                # Autoscale-grown servers have no slot in the published
-                # segment; compare only the shard's original span.
                 lo, hi = self.plan.boundaries[s], self.plan.boundaries[s + 1]
                 shm_counts = tuple(
                     int(c) for c in self._view.free_counts[lo:hi]
                 )
-                if shm_counts != tuple(free_counts)[: hi - lo]:
+                if shm_counts != tuple(free_counts):
                     raise RuntimeError(
                         f"shard {s} shared-memory counts {shm_counts} != "
                         f"actual {tuple(free_counts)}"
@@ -1312,19 +1129,6 @@ class ShardedFleetScheduler:
         """Fleet-wide aggregated cache counters (see per-shard breakdown)."""
         return aggregate_cache_stats(self.shard_stats())
 
-    def spill_scan_cache(self) -> int:
-        """Spill every shard's scan cache; returns total entries written.
-
-        Shards spill one at a time: shards with identical wiring share
-        partition files, and the tier's read-merge-write is only atomic
-        against concurrent *writers of different partitions*, so a
-        parallel spill could lose one shard's masks to another's.
-        """
-        return sum(
-            self._call_one(s, _shard_spill, self._token, s)
-            for s in range(self.num_shards)
-        )
-
     def shard_pids(self) -> List[int]:
         """The pid hosting each shard (parent pid in inline mode)."""
         return self._call_all(
@@ -1332,17 +1136,9 @@ class ShardedFleetScheduler:
         )
 
     def reset(self) -> None:
-        """Release every job on every shard and rebuild the mirrors.
-
-        Also unwinds fleet dynamics: shard resets drop autoscale-grown
-        servers and revive failed/drained ones, so the parent truncates
-        its capacity/status ledgers back to the constructed fleet.
-        """
+        """Release every job on every shard and rebuild the mirrors."""
         self._ops = [[] for _ in range(self.num_shards)]
         self._pending_places = []
-        del self._capacities[self._initial_servers:]
-        self._status = ["up"] * self._initial_servers
-        self._max_capacity = max(self._capacities)
         summaries = self._call_all(
             _shard_reset, [(self._token, s) for s in range(self.num_shards)]
         )
@@ -1447,24 +1243,12 @@ class ShardedFleetSimulator:
             self._lb_cache[key] = bound
         return bound
 
-    def run(
-        self, job_file: JobFile, dynamics: Optional[object] = None
-    ) -> SimulationLog:
+    def run(self, job_file: JobFile) -> SimulationLog:
         """Replay the whole trace; returns the (byte-identical) log.
 
         Reusable: a second ``run()`` resets the shards (their caches
         stay warm — that is the point of keeping the workers alive) and
         replays into a fresh engine and log.
-
-        ``dynamics`` optionally injects the seeded fleet-chaos axis
-        (:class:`repro.scenarios.dynamics.DynamicsSpec`), replayed
-        byte-identically to the single-process core: fleet events carry
-        :data:`~repro.sim.engine.FLEET_PRIORITY` so they pop before
-        same-timestamp job events, every mutation forces a flush first
-        (so the parent's running ledger and the shard schedulers agree
-        on exactly which jobs each mutation touches), and completions
-        carry ``(job_id, start_count)`` incarnation tags so a preempted
-        or failed job's stale completion is skipped, not double-freed.
         """
         scheduler = self.scheduler
         if self._used:
@@ -1479,7 +1263,6 @@ class ShardedFleetSimulator:
         self.log = log
         self._server_jobs = {i: 0 for i in range(scheduler.num_servers)}
         stats_base = scheduler.shard_stats()
-        dynamic = dynamics is not None and not dynamics.is_empty()
 
         jobs = list(job_file)
         times = []
@@ -1493,24 +1276,8 @@ class ShardedFleetSimulator:
             times.append(job.submit_time)
         engine.schedule_many(times, _ARRIVAL, jobs)
 
-        casualty = "requeue"
-        victim_policy = "youngest"
-        max_request = 0
-        starts: Dict[Hashable, int] = {}
-        if dynamic:
-            casualty = dynamics.casualty
-            victim_policy = dynamics.victim
-            max_request = max((j.num_gpus for j in jobs), default=0)
-            fleet_events = dynamics.build(scheduler.fleet.topologies)
-            engine.schedule_many(
-                [e.time for e in fleet_events],
-                _FLEET,
-                fleet_events,
-                priority=FLEET_PRIORITY,
-            )
-
         fifo: Deque[Job] = deque()
-        running: Dict[Hashable, Tuple[int, int, Tuple, Job]] = {}
+        running: Dict[Hashable, Tuple[int, int, Tuple]] = {}
         horizon = float("inf")
         inf = float("inf")
 
@@ -1534,72 +1301,9 @@ class ShardedFleetSimulator:
                     eff_bw,
                     measured,
                 )
-                running[job.job_id] = (shard, local, row, job)
-                if dynamic:
-                    count = starts.get(job.job_id, 0) + 1
-                    starts[job.job_id] = count
-                    payload = (job.job_id, count)
-                else:
-                    payload = job.job_id
-                engine.schedule(start_t + exec_time, _COMPLETION, payload)
+                running[job.job_id] = (shard, local, row)
+                engine.schedule(start_t + exec_time, _COMPLETION, job.job_id)
             horizon = inf
-
-        def apply_fleet_event(event) -> None:
-            """One fleet mutation, after settling all buffered work.
-
-            Flushing first is safe — a mutation pops strictly before
-            the horizon, which lower-bounds every pending completion —
-            and necessary: the parent's ``running`` ledger must be
-            complete before casualties or preemption victims are chosen
-            from it.  The branches mirror
-            :meth:`repro.sim.core.SimulationCore._apply_fleet_event`
-            decision for decision (guards included), so the event
-            stream diverges nowhere.
-            """
-            if scheduler.has_pending:
-                flush_pending()
-            action = event.action
-            if action == "fail":
-                if (
-                    scheduler.max_active_capacity(exclude=event.server)
-                    < max_request
-                ):
-                    return
-                requeue: List[Job] = []
-                for job_id in scheduler.fail_server(event.server):
-                    entry = running.pop(job_id)
-                    if casualty == "requeue":
-                        requeue.append(entry[3])
-                if requeue:
-                    fifo.extendleft(reversed(requeue))
-            elif action == "repair":
-                scheduler.repair_server(event.server)
-            elif action == "remove":
-                if (
-                    scheduler.max_active_capacity(exclude=event.server)
-                    >= max_request
-                ):
-                    scheduler.drain_server(event.server)
-            elif action == "add":
-                gidx = scheduler.grow_server(event.topology)
-                self._server_jobs.setdefault(gidx, 0)
-            elif action == "preempt":
-                if not running:
-                    return
-                ranked = sorted(
-                    (entry[2][7], entry[2][1]) for entry in running.values()
-                )
-                if victim_policy == "youngest":
-                    victim_id = ranked[-1][1]
-                elif victim_policy == "oldest":
-                    victim_id = ranked[0][1]
-                else:  # "rank"
-                    victim_id = ranked[event.victim_rank % len(ranked)][1]
-                shard, local, row, job = running.pop(victim_id)
-                scheduler.dispatch_release(victim_id, shard, local, row[3])
-                fifo.append(job)
-            else:  # pragma: no cover - defensive
-                raise RuntimeError(f"unknown fleet action {action!r}")
 
         while True:
             nxt = engine.peek_time()
@@ -1615,22 +1319,10 @@ class ShardedFleetSimulator:
                 if len(fifo) > 1:
                     continue
             elif kind == _COMPLETION:
-                if dynamic:
-                    job_id, count = payload
-                    if (
-                        job_id not in running
-                        or starts.get(job_id) != count
-                    ):
-                        continue  # stale incarnation — nothing changed
-                    payload = job_id
-                shard, local, row, _job = running.pop(payload)
+                shard, local, row = running.pop(payload)
                 scheduler.dispatch_release(payload, shard, local, row[3])
-                self._server_jobs[row[0]] = (
-                    self._server_jobs.get(row[0], 0) + 1
-                )
+                self._server_jobs[row[0]] += 1
                 log.append_fields(*row[1:])
-            elif kind == _FLEET:
-                apply_fleet_event(payload)
             else:  # pragma: no cover - defensive
                 raise RuntimeError(f"unknown event kind {kind!r}")
             now = engine.now
@@ -1697,19 +1389,16 @@ def run_sharded(
     model: EffectiveBandwidthModel = PAPER_MODEL,
     engine: str = "cached",
     mode: str = "process",
-    scan_spill_root: Optional[str] = None,
     use_shared_memory: Optional[bool] = None,
-    dynamics=None,
 ) -> SimulationLog:
     """One-call sharded replay: build, run, tear down, return the log.
 
     The sharded counterpart of
-    :func:`repro.cluster.simulator.run_cluster` — same knobs (including
-    the ``dynamics`` fleet-chaos axis), same byte-identical log for any
-    shard count.  Callers that replay repeatedly (the shard benchmark)
-    should hold a :class:`ShardedFleetScheduler` and a
-    :class:`ShardedFleetSimulator` open instead, so shard caches stay
-    warm across runs.
+    :func:`repro.cluster.simulator.run_cluster` for a static fleet under
+    FIFO — same byte-identical log for any shard count.  Callers that
+    replay repeatedly (the shard benchmark) should hold a
+    :class:`ShardedFleetScheduler` and a :class:`ShardedFleetSimulator`
+    open instead, so shard caches stay warm across runs.
     """
     with ShardedFleetScheduler(
         fleet,
@@ -1720,9 +1409,6 @@ def run_sharded(
         model=model,
         engine=engine,
         mode=mode,
-        scan_spill_root=scan_spill_root,
         use_shared_memory=use_shared_memory,
     ) as scheduler:
-        return ShardedFleetSimulator(scheduler).run(
-            job_file, dynamics=dynamics
-        )
+        return ShardedFleetSimulator(scheduler).run(job_file)

@@ -9,7 +9,7 @@ object: :meth:`DynamicsSpec.build` seeds one fresh
 :class:`numpy.random.Generator` from the spec's own seed and draws the
 whole event stream in a fixed order, so the same spec produces the same
 :class:`FleetEvent` sequence in any process — the property the sweep
-cache, the golden chaos tables and the sharded-identity gate rely on.
+cache and the golden chaos tables rely on.
 
 Event semantics (implemented by the simulation cores and the
 :class:`~repro.cluster.scheduler.MultiServerScheduler`):
@@ -40,7 +40,7 @@ Event semantics (implemented by the simulation cores and the
 Determinism contract: fleet events are injected into the engines at
 :data:`~repro.sim.engine.FLEET_PRIORITY`, so a mutation that collides
 with a job event's timestamp always applies *first* — identically in
-the simulation core, its reference oracle and at every shard count.
+the simulation core and its reference oracle.
 """
 
 from __future__ import annotations

@@ -85,21 +85,30 @@ def fit_effbw_model(
 
 @dataclass(frozen=True)
 class FitQuality:
-    """Error metrics the paper reports for its fit (section 3.4.3)."""
+    """Error metrics the paper reports for its fit (section 3.4.3).
+
+    ``rank`` is the rank of the census design matrix and
+    ``residual_dof`` is ``num_samples - rank``.  At zero residual
+    degrees of freedom the fit interpolates its samples, so R² = 1 and
+    a near-zero RMSE say nothing about how good the model is.
+    """
 
     relative_error: float
     rmse: float
     mae: float
     r_squared: float
     num_samples: int
+    rank: int
+    residual_dof: int
 
 
 def evaluate_fit(
     model: EffectiveBandwidthModel, samples: Sequence[CensusSample]
 ) -> FitQuality:
-    """Relative error, RMSE, MAE and R² of a model on a sample set."""
+    """Relative error, RMSE, MAE, R² and design rank on a sample set."""
     actual = np.array([s.effective_bw for s in samples])
-    predicted = model.predict_batch([s.census.as_tuple() for s in samples])
+    censuses = [s.census.as_tuple() for s in samples]
+    predicted = model.predict_batch(censuses)
     resid = predicted - actual
     nonzero = actual != 0
     rel = (
@@ -111,12 +120,15 @@ def evaluate_fit(
     mae = float(np.mean(np.abs(resid)))
     ss_tot = float(np.sum((actual - actual.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 1.0
+    rank = int(np.linalg.matrix_rank(feature_matrix(censuses)))
     return FitQuality(
         relative_error=rel,
         rmse=rmse,
         mae=mae,
         r_squared=r2,
         num_samples=len(samples),
+        rank=rank,
+        residual_dof=len(samples) - rank,
     )
 
 

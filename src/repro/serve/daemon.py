@@ -19,11 +19,9 @@ Request batching
     how long that coalescing may last: a lone op never waits out the
     window, while a pipelined burst (every line already buffered on a
     socket is admitted within one tick) becomes a single scheduler
-    dispatch.  The sharded backend turns a whole batch into **one**
-    ``flush()`` round trip per shard — the same batching discipline
-    the replay simulator uses.  Each reply is written straight to its
-    connection; a connection stops being read while its peer does not
-    read its replies.
+    dispatch.  Each reply is written straight to its connection; a
+    connection stops being read while its peer does not read its
+    replies.
 
 Graceful shutdown
     ``drain`` stops admission, gives in-flight jobs a grace period to
@@ -33,11 +31,9 @@ Graceful shutdown
     metrics snapshot — so the *next* daemon on the same spill root
     starts hot (the warm-restart gate in ``benchmarks/bench_serve.py``).
 
-The scheduler stays swappable behind the request API: ``shards=0``
-hosts a :class:`~repro.cluster.scheduler.MultiServerScheduler`
-in-process, ``shards>0`` a
-:class:`~repro.cluster.sharding.ShardedFleetScheduler` — clients
-cannot tell the difference.
+The daemon hosts one in-process
+:class:`~repro.cluster.scheduler.MultiServerScheduler` over the whole
+fleet, with one :class:`~repro.scoring.memo.ScanCache`.
 """
 
 from __future__ import annotations
@@ -51,7 +47,6 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Hashable, List, Optional, Tuple
 
 from ..cluster.scheduler import MultiServerScheduler
-from ..cluster.sharding import ShardedFleetScheduler
 from ..ioutils import atomic_write_bytes, atomic_write_text
 from ..scenarios.fleet import FleetSpec
 from ..scoring.memo import ScanCache
@@ -80,7 +75,6 @@ class DaemonConfig:
     """Everything ``mapa serve`` can tune about one daemon."""
 
     fleet: str = "dgx1-v100:4"
-    shards: int = 0
     gpu_policy: str = "preserve"
     node_policy: str = "first-fit"
     queue_limit: int = 256
@@ -90,13 +84,11 @@ class DaemonConfig:
     spill_root: Optional[str] = None
     metrics_json: Optional[str] = None
     drain_grace: float = 2.0
-    shard_mode: str = "process"
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-ready snapshot embedded in the metrics dump."""
         return {
             "fleet": self.fleet,
-            "shards": self.shards,
             "gpu_policy": self.gpu_policy,
             "node_policy": self.node_policy,
             "queue_limit": self.queue_limit,
@@ -164,175 +156,6 @@ class ServeMetrics:
 
 
 # ---------------------------------------------------------------------- #
-# scheduler backends
-# ---------------------------------------------------------------------- #
-class _Ticket:
-    """One placement's outcome, resolved immediately or at flush."""
-
-    __slots__ = ("server", "gpus", "scores")
-
-    def __init__(
-        self,
-        server: int,
-        gpus: Optional[Tuple[int, ...]] = None,
-        scores: Optional[Dict[str, float]] = None,
-    ) -> None:
-        self.server = server
-        self.gpus = gpus
-        self.scores = scores
-
-
-class _SingleBackend:
-    """In-process :class:`MultiServerScheduler` behind the daemon API."""
-
-    def __init__(self, config: DaemonConfig) -> None:
-        fleet = FleetSpec.parse(config.fleet)
-        self.spill_store = None
-        if config.spill_root is not None:
-            from ..experiments.spill import ScanSpillStore
-
-            self.spill_store = ScanSpillStore(root=config.spill_root)
-        self.cache = ScanCache()
-        self.scheduler = MultiServerScheduler(
-            fleet.build(),
-            gpu_policy=config.gpu_policy,
-            node_policy=config.node_policy,
-            scan_cache=self.cache,
-            scan_spill=self.spill_store,
-        )
-        self.warm_entries = len(self.cache.entries())
-
-    @property
-    def max_capacity(self) -> int:
-        return self.scheduler.max_active_capacity()
-
-    def place(self, spec: SubmitSpec) -> Optional[_Ticket]:
-        placement = self.scheduler.try_place(spec.request())
-        if placement is None:
-            return None
-        scores = {
-            str(k): float(v)
-            for k, v in placement.allocation.scores.items()
-            if isinstance(v, (int, float))
-        }
-        return _Ticket(placement.server_index, placement.gpus, scores)
-
-    def release(self, job_id: Hashable) -> Tuple[int, int]:
-        server, gpus = self.scheduler.release(job_id)
-        return server, len(gpus)
-
-    def flush(self) -> None:
-        pass
-
-    def cache_stats(self) -> Dict[str, float]:
-        stats = self.scheduler.scan_cache_stats()
-        out: Dict[str, float] = {}
-        if stats is not None:
-            counters = stats.as_dict()
-            rate = counters.pop("hit_rate")
-            for key, value in counters.items():
-                out[f"scan_{key}"] = value
-            out["scan_hit_rate"] = rate
-        return out
-
-    def spill_stats(self) -> Dict[str, int]:
-        if self.spill_store is None:
-            return {}
-        return self.spill_store.stats.as_dict()
-
-    def spill(self) -> int:
-        if self.spill_store is None:
-            return 0
-        return self.scheduler.spill_scan_cache()
-
-    def close(self) -> None:
-        pass
-
-
-class _ShardedBackend:
-    """:class:`ShardedFleetScheduler` behind the daemon API.
-
-    Placements buffer through ``dispatch_place`` and resolve at the
-    batch's single ``flush()`` (one round trip per shard); routing
-    feasibility is known immediately from the parent-side mirrors, so
-    admission and the wait queue behave identically to the single
-    backend.
-    """
-
-    def __init__(self, config: DaemonConfig) -> None:
-        self.scheduler = ShardedFleetScheduler(
-            FleetSpec.parse(config.fleet),
-            shards=config.shards,
-            gpu_policy=config.gpu_policy,
-            node_policy=config.node_policy,
-            mode=config.shard_mode,
-            scan_spill_root=config.spill_root,
-        )
-        self.spill_root = config.spill_root
-        self.warm_entries = 0
-        self._locations: Dict[Hashable, Tuple[int, int, int]] = {}
-        self._pending: List[_Ticket] = []
-        self._clock = 0.0
-
-    @property
-    def max_capacity(self) -> int:
-        return self.scheduler.max_capacity
-
-    def place(self, spec: SubmitSpec) -> Optional[_Ticket]:
-        routed = self.scheduler.route(spec.num_gpus)
-        if routed is None:
-            return None
-        shard, local = routed
-        # Monotonic pseudo-time: shard replies don't depend on it, the
-        # Job row just needs a valid submit time.
-        self._clock += 1.0
-        server = self.scheduler.dispatch_place(
-            spec.job(self._clock), shard, local, self._clock
-        )
-        self._locations[spec.job_id] = (shard, local, spec.num_gpus)
-        ticket = _Ticket(server)
-        self._pending.append(ticket)
-        return ticket
-
-    def release(self, job_id: Hashable) -> Tuple[int, int]:
-        shard, local, num_gpus = self._locations.pop(job_id)
-        self.scheduler.dispatch_release(job_id, shard, local, num_gpus)
-        return self.scheduler.plan.start(shard) + local, num_gpus
-
-    def flush(self) -> None:
-        replies = self.scheduler.flush()
-        places = iter(self._pending)
-        for (_, _, _, _, _, reply) in replies:
-            ticket = next(places)
-            ticket.gpus = tuple(int(g) for g in reply[1])
-            ticket.scores = {
-                "agg_bw": float(reply[2]),
-                "effective_bw": float(reply[3]),
-            }
-        self._pending = []
-
-    def cache_stats(self) -> Dict[str, float]:
-        return self.scheduler.cache_stats()
-
-    def spill_stats(self) -> Dict[str, int]:
-        return {}
-
-    def spill(self) -> int:
-        if self.spill_root is None:
-            return 0
-        return self.scheduler.spill_scan_cache()
-
-    def close(self) -> None:
-        self.scheduler.close()
-
-
-def _build_backend(config: DaemonConfig):
-    if config.shards > 0:
-        return _ShardedBackend(config)
-    return _SingleBackend(config)
-
-
-# ---------------------------------------------------------------------- #
 # the daemon
 # ---------------------------------------------------------------------- #
 def _reply(writer, req_id, response: Dict[str, Any]) -> None:
@@ -362,18 +185,20 @@ class _Op:
 class _Lease:
     """One placed job in the daemon's ledger."""
 
-    __slots__ = ("tenant", "num_gpus", "ticket", "placed_at")
+    __slots__ = ("tenant", "num_gpus", "server", "gpus", "placed_at")
 
     def __init__(
         self,
         tenant: str,
         num_gpus: int,
-        ticket: _Ticket,
+        server: int,
+        gpus: Tuple[int, ...],
         placed_at: float = 0.0,
     ) -> None:
         self.tenant = tenant
         self.num_gpus = num_gpus
-        self.ticket = ticket
+        self.server = server
+        self.gpus = gpus
         self.placed_at = placed_at
 
 
@@ -382,9 +207,24 @@ class AllocationDaemon:
 
     def __init__(self, config: Optional[DaemonConfig] = None) -> None:
         self.config = config or DaemonConfig()
-        self.backend = _build_backend(self.config)
+        self.spill_store = None
+        if self.config.spill_root is not None:
+            from ..experiments.spill import ScanSpillStore
+
+            self.spill_store = ScanSpillStore(root=self.config.spill_root)
+        self.cache = ScanCache()
+        self.scheduler = MultiServerScheduler(
+            FleetSpec.parse(self.config.fleet).build(),
+            gpu_policy=self.config.gpu_policy,
+            node_policy=self.config.node_policy,
+            scan_cache=self.cache,
+            scan_spill=self.spill_store,
+        )
+        # The daemon never fails or drains a server, so the largest
+        # request any server can hold is fixed at boot.
+        self._max_gpus = self.scheduler.max_active_capacity()
         self.metrics = ServeMetrics()
-        self.metrics.warm_entries = self.backend.warm_entries
+        self.metrics.warm_entries = len(self.cache.entries())
         self._audit = self._audit_store()
         self._pending: List[_Op] = []
         # Submits among ``_pending``: the queue bound's share of it.
@@ -491,7 +331,6 @@ class AllocationDaemon:
             except asyncio.CancelledError:
                 pass
             self._dispatcher = None
-        self.backend.close()
 
     # ------------------------------------------------------------------ #
     # connection handling
@@ -589,13 +428,13 @@ class AllocationDaemon:
         # loop (all-to-all over thousands of slots) and fill the memo.
         try:
             job_id, gpus = protocol.submit_size(payload)
-            if gpus > self.backend.max_capacity:
+            if gpus > self._max_gpus:
                 self.metrics.reject(protocol.REJECT_INFEASIBLE)
                 return {
                     "status": "rejected",
                     "reason": protocol.REJECT_INFEASIBLE,
                     "job": job_id,
-                    "max_gpus": self.backend.max_capacity,
+                    "max_gpus": self._max_gpus,
                 }
             spec = SubmitSpec.from_payload(payload)
         except ProtocolError as exc:
@@ -682,15 +521,12 @@ class AllocationDaemon:
 
     def _run_batch(self, batch: List[_Op]) -> None:
         """One scheduler dispatch for every op the wake collected."""
-        # (op, response) — an allocation's ticket until the flush
-        # resolves its GPUs.
-        replies: List[Tuple[_Op, Any]] = []
+        replies: List[Tuple[_Op, Dict[str, Any]]] = []
         for op in batch:
             if op.kind == "submit":
                 self._batch_submit(op, replies)
             else:
                 self._batch_release(op, replies)
-        self.backend.flush()
         self.metrics.dispatches += 1
         if len(batch) > 1:
             self.metrics.batched_dispatches += 1
@@ -699,30 +535,33 @@ class AllocationDaemon:
             self.metrics.peak_waiting, len(self._waiting)
         )
         for op, response in replies:
-            if isinstance(response, _Ticket):
-                response = {
-                    "status": "allocated",
-                    "job": op.job_id,
-                    "server": response.server,
-                    "gpus": list(response.gpus)
-                    if response.gpus is not None else None,
-                    "scores": response.scores,
-                }
             _reply(op.writer, op.req_id, response)
 
     def _place(self, op: _Op, replies) -> bool:
-        """Try one submit against the backend; ``False`` means no room."""
-        ticket = self.backend.place(op.spec)
-        if ticket is None:
+        """Try one submit against the scheduler; ``False`` means no room."""
+        placement = self.scheduler.try_place(op.spec.request())
+        if placement is None:
             return False
+        server, gpus = placement.server_index, placement.gpus
         self._ledger[op.job_id] = _Lease(
             op.spec.tenant,
             op.spec.num_gpus,
-            ticket,
+            server,
+            gpus,
             placed_at=time.monotonic() - self._epoch,
         )
         self.metrics.allocated += 1
-        replies.append((op, ticket))
+        replies.append((op, {
+            "status": "allocated",
+            "job": op.job_id,
+            "server": server,
+            "gpus": list(gpus),
+            "scores": {
+                str(k): float(v)
+                for k, v in placement.allocation.scores.items()
+                if isinstance(v, (int, float))
+            },
+        }))
         return True
 
     def _batch_submit(self, op: _Op, replies) -> None:
@@ -752,10 +591,6 @@ class AllocationDaemon:
         ``.mlog`` codec the sweep transport uses.
         """
         now = time.monotonic() - self._epoch
-        ticket = lease.ticket
-        allocation = (
-            tuple(ticket.gpus) if ticket.gpus is not None else ()
-        )
         self._service_log.append_fields(
             self._release_seq,
             lease.tenant,
@@ -765,7 +600,7 @@ class AllocationDaemon:
             lease.placed_at,
             lease.placed_at,
             now,
-            allocation,
+            tuple(lease.gpus),
             0.0,
             0.0,
             0.0,
@@ -776,13 +611,13 @@ class AllocationDaemon:
         job_id = op.job_id
         lease = self._ledger.pop(job_id, None)
         if lease is not None:
-            server, num_gpus = self.backend.release(job_id)
+            server, gpus = self.scheduler.release(job_id)
             self._forget(job_id, lease.tenant, lease.num_gpus)
             self._record_release(lease)
             self.metrics.released += 1
             replies.append((op, {
                 "status": "released", "job": job_id,
-                "server": server, "gpus": num_gpus,
+                "server": server, "gpus": len(gpus),
             }))
             self._drain_waiting(replies)
             return
@@ -827,12 +662,11 @@ class AllocationDaemon:
             return {"status": "error", "reason": str(exc)}
         lease = self._ledger.get(job_id)
         if lease is not None:
-            ticket = lease.ticket
             return {
                 "status": "active",
                 "job": job_id,
-                "server": ticket.server,
-                "gpus": list(ticket.gpus) if ticket.gpus is not None else None,
+                "server": lease.server,
+                "gpus": list(lease.gpus),
                 "tenant": lease.tenant,
             }
         if any(w.job_id == job_id for w in self._waiting) or any(
@@ -866,6 +700,14 @@ class AllocationDaemon:
             },
         }
 
+    def _cache_stats(self) -> Dict[str, float]:
+        """The scan cache's counters under ``scan_*`` keys."""
+        counters = self.cache.stats.as_dict()
+        rate = counters.pop("hit_rate")
+        out = {f"scan_{key}": value for key, value in counters.items()}
+        out["scan_hit_rate"] = rate
+        return out
+
     def metrics_snapshot(self) -> Dict[str, Any]:
         """Counters + gauges + cache/spill stats as one JSON object.
 
@@ -888,8 +730,11 @@ class AllocationDaemon:
                     if u[0] or u[1]
                 },
             },
-            "cache": self.backend.cache_stats(),
-            "spill": self.backend.spill_stats(),
+            "cache": self._cache_stats(),
+            "spill": (
+                {} if self.spill_store is None
+                else self.spill_store.stats.as_dict()
+            ),
             "config": self.config.as_dict(),
         }
         snapshot.update(self._audit)
@@ -934,13 +779,12 @@ class AllocationDaemon:
         forced = 0
         for job_id in list(self._ledger):
             lease = self._ledger.pop(job_id)
-            self.backend.release(job_id)
+            self.scheduler.release(job_id)
             self._forget(job_id, lease.tenant, lease.num_gpus)
             self._record_release(lease)
             forced += 1
-        self.backend.flush()
         self.metrics.forced_releases = forced
-        spilled = self.backend.spill()
+        spilled = self.scheduler.spill_scan_cache()
         self.metrics.spilled_entries = spilled
         self._audit = self._audit_store()
         snapshot = self.metrics_snapshot()

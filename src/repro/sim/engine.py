@@ -13,7 +13,7 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 #: Priority of job events (arrivals, completions).  Lower priorities pop
 #: first at one timestamp, so a fleet mutation at an arrival instant
-#: (:data:`FLEET_PRIORITY`) lands before the arrival at every shard count.
+#: (:data:`FLEET_PRIORITY`) lands before the arrival.
 DEFAULT_PRIORITY = 1
 
 #: Priority for fleet-mutation events (see :data:`DEFAULT_PRIORITY`).

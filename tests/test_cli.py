@@ -381,7 +381,7 @@ class TestCacheCommand:
 
 
 class TestShardedCLI:
-    """The `--shards` surfaces: `fleet`, `scenario --fleet`, cache tier."""
+    """`mapa fleet`: the one CLI surface of the sharded replay."""
 
     def test_fleet_digest_is_shard_count_invariant(self, capsys):
         def digest(shards):
@@ -428,55 +428,3 @@ class TestShardedCLI:
         assert tuple(by_dest["node_policy"].choices) == tuple(
             SHARDABLE_NODE_POLICIES
         )
-
-    def test_scenario_sharded_replay_matches_unsharded(self, capsys):
-        base = ["scenario", "--num-jobs", "40",
-                "--fleet", "dgx1-v100:2,summit:2"]
-
-        def makespan(args):
-            assert main(args) == 0
-            out = capsys.readouterr().out
-            (line,) = [l for l in out.splitlines() if "makespan" in l]
-            return line.rsplit("|", 1)[1].strip()
-
-        classic = makespan(base)
-        sharded = makespan([*base, "--shards", "2"])
-        assert classic == sharded
-
-    def test_scenario_shards_require_fleet(self, capsys):
-        assert main(["scenario", "--num-jobs", "10", "--shards", "2"]) == 2
-        assert "--shards requires --fleet" in capsys.readouterr().err
-
-    def test_scenario_shards_are_fifo_only(self, capsys):
-        rc = main(
-            ["scenario", "--num-jobs", "10", "--fleet", "dgx1-v100:2",
-             "--shards", "2", "--scheduling", "sjf"]
-        )
-        assert rc == 2
-        assert "dispatch FIFO only" in capsys.readouterr().err
-
-    def test_scenario_shards_reject_unshardable_node_policy(self, capsys):
-        rc = main(
-            ["scenario", "--num-jobs", "10", "--fleet", "dgx1-v100:2",
-             "--shards", "2", "--node-policy", "best-score"]
-        )
-        assert rc == 2
-        assert "cannot be sharded" in capsys.readouterr().err
-
-    def test_cache_sharded_spill_then_warm_round_trip(self, tmp_path, capsys):
-        args = ["--cache-dir", str(tmp_path), "--fleet", "dgx1-v100:2",
-                "--jobs", "120", "--shards", "2"]
-        assert main(["cache", "spill", *args]) == 0
-        out = capsys.readouterr().out
-        assert "tier entries written" in out
-        assert "scan cache [shard 0]" in out
-        assert main(["cache", "warm", *args]) == 0
-        rows = {}
-        for line in capsys.readouterr().out.splitlines():
-            if "|" in line:
-                label, _, value = line.partition("|")
-                rows[label.strip()] = value.strip()
-        assert rows["scan hit rate"] == "100.0%"
-        assert rows["shards"] == "2"
-        assert rows["scan cache [shard 0]"].startswith("100.0% hits")
-        assert rows["scan cache [shard 1]"].startswith("100.0% hits")

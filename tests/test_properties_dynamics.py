@@ -1,6 +1,6 @@
 """Property tests: fleet dynamics under random churn.
 
-Four invariants pin the chaos axis:
+Three invariants pin the chaos axis:
 
 * the scheduler's :class:`~repro.cluster.CandidateServerIndex` stays
   exactly consistent (``check_index`` passes, ``resync_index`` is a
@@ -10,13 +10,7 @@ Four invariants pin the chaos axis:
   scan sources and the reference replay on the scalar scan walk;
 * under every built-in discipline, the simulation core produces the
   same log as the memo-free reference replay with skip-free discipline
-  bodies (``tests/reference/replay.py``) under chaos;
-* a sharded chaos replay (random shard count) is byte-identical to the
-  single-scheduler reference, and the mirrors survive ``check_mirror``
-  afterwards.
-
-Everything runs shards inline — the process transport is exercised by
-the fleet-chaos benchmark and :mod:`tests.test_sharding`.
+  bodies (``tests/reference/replay.py``) under chaos.
 """
 
 import hashlib
@@ -27,12 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference.replay import assert_identical_replay, reference_replay
-from repro.cluster import (
-    MultiServerScheduler,
-    ShardedFleetScheduler,
-    ShardedFleetSimulator,
-    run_cluster,
-)
+from repro.cluster import MultiServerScheduler, run_cluster
 from repro.scenarios import (
     CASUALTY_POLICIES,
     VICTIM_POLICIES,
@@ -214,23 +203,3 @@ class TestCoreIdentityUnderChaos:
             dynamics=dynamics,
         )
 
-
-class TestShardedIdentityUnderChaos:
-    @given(data=st.data())
-    @settings(max_examples=8, deadline=None)
-    def test_any_shard_count_matches_reference(self, data):
-        fleet = data.draw(_fleet())
-        trace = data.draw(_scenario(fleet))
-        dynamics = data.draw(_dynamics())
-        shards = data.draw(st.integers(1, fleet.num_servers))
-        reference = _digest(
-            run_cluster(fleet.build(), trace, dynamics=dynamics).log
-        )
-        with ShardedFleetScheduler(fleet, shards, mode="inline") as scheduler:
-            sim = ShardedFleetSimulator(scheduler)
-            assert (
-                _digest(sim.run(trace, dynamics=dynamics)) == reference
-            ), (
-                f"shards={shards} diverged under {dynamics.describe()}"
-            )
-            scheduler.check_mirror()

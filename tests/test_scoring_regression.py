@@ -12,6 +12,7 @@ from repro.scoring.regression import (
     fit_effbw_model,
     fit_for_hardware,
 )
+from repro.topology.builders import by_name
 
 
 class TestSampleConstruction:
@@ -73,6 +74,16 @@ class TestFit:
         assert quality.num_samples == len(samples)
         assert quality.r_squared > 0.6
         assert quality.rmse < 10.0
+
+    @pytest.mark.parametrize(
+        "topology,rank,dof", [("summit", 7, 0), ("dgx1-v100", 14, 16)]
+    )
+    def test_design_rank_and_residual_dof(self, topology, rank, dof):
+        """Summit's 7 censuses fit with R² = 1 because the design has
+        rank 7: zero residual degrees of freedom, an interpolation."""
+        _, quality, samples = fit_for_hardware(by_name(topology))
+        assert (quality.rank, quality.residual_dof) == (rank, dof)
+        assert quality.num_samples == len(samples) == rank + dof
 
     def test_fit_predictions_in_physical_range(self, dgx, dgx_model):
         """Predictions over the training envelope stay within a sane

@@ -594,45 +594,38 @@ class TestWarmRestart:
         assert "verify" in calls  # the drain re-audits after its spill
 
 
-class TestShardedBackend:
-    def test_sharded_matches_single_backend(self, serve):
-        ops = [("s", f"j{i}", 2 + 2 * (i % 3)) for i in range(8)]
-        ops.insert(5, ("r", "j1", None))
-        ops.insert(8, ("r", "j3", None))
-
-        def run(**kwargs):
-            socket_path, handle = serve(
-                index=kwargs.pop("index"), fleet="dgx1-v100:4", **kwargs
-            )
-            placed = {}
-            with AllocationClient(socket_path=socket_path) as client:
-                for op in ops:
-                    if op[0] == "s":
-                        response = client.submit(op[1], op[2], wait=False)
-                        if response["status"] == "allocated":
-                            placed[op[1]] = (
-                                response["server"], response["gpus"],
-                            )
-                    else:
-                        client.release(op[1])
-                        placed.pop(op[1], None)
-                client.drain()
-            handle.join(timeout=30)
-            return placed
-
-        single = run(index=0)
-        sharded = run(index=1, shards=2, shard_mode="inline")
-        assert json.dumps(single, sort_keys=True) == json.dumps(
-            sharded, sort_keys=True
-        )
-
-    def test_sharded_stats_aggregate(self, serve):
-        socket_path, _ = serve(
-            index=0, fleet="dgx1-v100:4", shards=2, shard_mode="inline"
+class TestNodePolicies:
+    def test_best_score_daemon_places_releases_and_drains(self, serve):
+        """``best-score`` inspects each server's wiring; the daemon hosts
+        it like any other node policy."""
+        socket_path, handle = serve(
+            fleet="dgx1-v100:1,summit:1", node_policy="best-score"
         )
         with AllocationClient(socket_path=socket_path) as client:
-            client.submit("a", 4)
-            stats = client.stats()
-            assert stats["cache"]["scan_lookups"] >= 1
-            client.release("a")
-            client.drain()
+            first = client.submit("a", 4)
+            assert first["status"] == "allocated"
+            assert len(first["gpus"]) == 4
+            second = client.submit("b", 6)
+            assert second["status"] == "allocated"
+            assert second["server"] != first["server"]
+            assert client.query("a")["gpus"] == first["gpus"]
+            released = client.release("a")
+            assert released["status"] == "released"
+            assert (released["server"], released["gpus"]) == (
+                first["server"], 4,
+            )
+            assert client.stats()["config"]["node_policy"] == "best-score"
+            summary = client.drain()
+        handle.join(timeout=30)
+        assert summary["status"] == "ok"
+        assert summary["forced_releases"] == 1
+
+    def test_serve_accepts_every_node_policy(self):
+        from repro.cli import build_parser
+        from repro.cluster import NODE_POLICIES
+
+        for name in NODE_POLICIES:
+            args = build_parser().parse_args(
+                ["serve", "--socket", "s", "--node-policy", name]
+            )
+            assert args.node_policy == name

@@ -140,10 +140,9 @@ def _replay_parallel(ops, jobs_by_id, socket_path, num_clients=4):
     return ledger
 
 
-@pytest.mark.parametrize("shards,mode", [(0, None), (2, "inline")])
-def test_parallel_clients_match_serial_replay(tmp_path, shards, mode):
+def test_parallel_clients_match_serial_replay(tmp_path):
     """N parallel clients replaying the simulator's op sequence end
-    with a byte-identical allocation ledger — single and sharded."""
+    with a byte-identical allocation ledger."""
     fleet, trace = _scenario()
     ops, serial_ledger = _record_serial(fleet, trace)
     assert serial_ledger, "scenario placed nothing — test is vacuous"
@@ -151,9 +150,6 @@ def test_parallel_clients_match_serial_replay(tmp_path, shards, mode):
 
     jobs_by_id = {job.job_id: job for job in trace.jobs}
     config = DaemonConfig(fleet=FLEET, queue_limit=1024)
-    if shards:
-        config.shards = shards
-        config.shard_mode = mode
     socket_path = str(tmp_path / "replay.sock")
     handle = start_daemon_thread(config, socket_path=socket_path)
     try:

@@ -216,18 +216,13 @@ class TestEasyBackfill:
 class TestBackendProtocol:
     def test_both_backends_satisfy_protocol(self, dgx):
         from repro.cluster.scheduler import MultiServerScheduler
-        from repro.cluster.sharding import ShardedFleetScheduler
 
         single = MultiServerScheduler([dgx], gpu_policy=make_policy("baseline"))
         multi = MultiServerScheduler([dgx1_v100(), summit_node()])
         for backend in (single, multi):
             assert isinstance(backend, PlacementBackend)
-        # The sharded scheduler runs under its own simulator loop, not
-        # the core, but implements every fleet hook the protocol
-        # requires (checked on the class: an instance forks workers).
         for hook in FLEET_HOOKS:
             assert callable(getattr(PlacementBackend, hook))
-            assert callable(getattr(ShardedFleetScheduler, hook))
         assert single.free_gpu_counts() == (8,)
         assert multi.free_gpu_counts() == (8, 6)
         assert multi.hardware_for(1).num_gpus == 6

@@ -1,8 +1,9 @@
 """Structural ratchet: the size and shape of ``src/`` as pinned numbers.
 
 Line counts per package, the modules over :data:`LARGE_MODULE` lines,
-the broad ``except`` handlers per module and the third-party modules
-``src/`` imports are pinned like a golden table.
+the broad ``except`` handlers per module, the third-party modules
+``src/`` imports and the size of each package's ``__all__`` are pinned
+like a golden table.
 A change that moves any of them edits the table in the same diff: growth
 becomes a deliberate, reported change, and a deletion shows its win.
 :data:`TARGETS` records the size goals next to the pinned numbers; a met
@@ -32,33 +33,33 @@ LARGE_MODULE = 800
 
 #: ``package -> lines`` under ``src/repro`` (``.`` is the top-level modules).
 PACKAGE_LINES = {
-    ".": 1900,
+    ".": 1800,
     "allocator": 829,
     "analysis": 595,
     "appgraph": 502,
-    "cluster": 2768,
+    "cluster": 2454,
     "comm": 858,
     "data": 78,
     "experiments": 1770,
     "matching": 521,
     "policies": 1330,
     "scenarios": 1288,
-    "scoring": 1186,
-    "serve": 1636,
-    "sim": 2634,
+    "scoring": 1198,
+    "serve": 1467,
+    "sim": 2633,
     "topology": 1297,
     "workloads": 617,
 }
 
 #: Lines of every ``.py`` file under ``src/repro``.
-TOTAL_LINES = 19809
+TOTAL_LINES = 19237
 
 #: ``module -> lines`` for every module over :data:`LARGE_MODULE` lines.
 LARGE_MODULES = {
-    "cli.py": 1586,
+    "cli.py": 1486,
     "cluster/scheduler.py": 857,
-    "cluster/sharding.py": 1728,
-    "serve/daemon.py": 1056,
+    "cluster/sharding.py": 1414,
+    "serve/daemon.py": 900,
     "sim/records.py": 908,
 }
 
@@ -69,6 +70,27 @@ BROAD_EXCEPTS = {
     "experiments/runner.py": 1,
     "ioutils.py": 2,
     "serve/daemon.py": 2,
+}
+
+#: ``package -> len(__all__)`` of each package's ``__init__.py`` (``.`` is
+#: ``repro`` itself): the public surface, one name at a time.
+ALL_NAMES = {
+    ".": 13,
+    "allocator": 7,
+    "analysis": 21,
+    "appgraph": 16,
+    "cluster": 15,
+    "comm": 25,
+    "data": 6,
+    "experiments": 32,
+    "matching": 13,
+    "policies": 19,
+    "scenarios": 23,
+    "scoring": 27,
+    "serve": 17,
+    "sim": 27,
+    "topology": 32,
+    "workloads": 16,
 }
 
 #: Top-level third-party modules imported anywhere under ``src/repro``.
@@ -142,6 +164,20 @@ def scan() -> Tuple[Dict[str, int], Dict[str, int], Set[str]]:
     return lines, broad, third_party
 
 
+def all_names() -> Dict[str, int]:
+    """``package -> len(__all__)``, read from each ``__init__.py``."""
+    counts = {}
+    for path in sorted(SRC.rglob("__init__.py")):
+        package = path.parent.relative_to(SRC).as_posix()
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets
+            ):
+                counts[package] = len(node.value.elts)
+    return counts
+
+
 def package_lines() -> Dict[str, int]:
     """``package -> lines``; top-level modules count under ``.``."""
     counts: Counter = Counter()
@@ -169,6 +205,10 @@ def test_broad_excepts_are_pinned():
     assert scan()[1] == BROAD_EXCEPTS
 
 
+def test_all_names_are_pinned():
+    assert all_names() == ALL_NAMES
+
+
 def test_third_party_imports_are_pinned():
     assert scan()[2] == THIRD_PARTY
 
@@ -191,6 +231,7 @@ if __name__ == "__main__":  # pragma: no cover - table regeneration
                 "LARGE_MODULES": large_modules(),
                 "BROAD_EXCEPTS": scan()[1],
                 "THIRD_PARTY": sorted(scan()[2]),
+                "ALL_NAMES": all_names(),
             },
             indent=4,
         )
