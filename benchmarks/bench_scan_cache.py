@@ -3,8 +3,8 @@
 Two measurements of the content-addressed scan cache
 (:mod:`repro.scoring.memo`):
 
-* **cold vs warm scan latency** — building a DGX-V ``BatchScan`` from
-  scratch versus serving the identical request from a warm
+* **cold vs warm scan latency** — building a DGX-V match table
+  (:func:`~repro.policies.scan.batch_scan`) from scratch versus serving the identical request from a warm
   :class:`~repro.policies.scan.CachedScan` (key construction + LRU
   lookup); the ratio is the per-event payoff of a cache hit;
 * **hit rate vs LRU capacity** — a fixed single-server trace replayed

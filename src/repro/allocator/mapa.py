@@ -17,7 +17,7 @@ from typing import Dict, Hashable, Optional, Tuple
 
 from ..policies.base import Allocation, AllocationPolicy, AllocationRequest
 from ..scoring.aggregate import aggregated_bandwidth
-from ..scoring.census import census_of_allocation
+from ..scoring.census import LinkCensus, census_of_allocation
 from ..scoring.effective import EffectiveBandwidthModel, PAPER_MODEL
 from ..scoring.preserved import preserved_bandwidth
 from ..topology.hardware import HardwareGraph
@@ -74,6 +74,9 @@ class Mapa:
         self._agg_memo: Dict[Tuple, float] = {}
         self._census_memo: Dict[Tuple[int, ...], Tuple[float, float, float, float]] = {}
         self._preserved_memo: Dict[int, float] = {}
+        # Eq. 2 under this engine's model for proposals scored off a
+        # match table, keyed by their (census_x, census_y, census_z).
+        self._effective_memo: Dict[Tuple[float, float, float], float] = {}
         # Bit per GPU, same convention as AllocationState.free_bitmask
         # (bit i = i-th GPU of the sorted GPU tuple); plus a per-vertex-
         # tuple mask memo so recurring winners clear their bits in O(1).
@@ -116,6 +119,20 @@ class Mapa:
             )
         return self.policy.allocate(request, self.hardware, available)
 
+    def decide(self, request: AllocationRequest) -> Optional[Allocation]:
+        """The complete, uncommitted decision for ``request``, or ``None``.
+
+        The policy's proposal with its full score vector
+        (:meth:`_annotate`) and no ``job_id``; the state is untouched.
+        A proposal scored off a match table is returned as is, so the
+        scan cache's winner memo and the scheduler's decision memo
+        share one object.
+        """
+        proposal = self.propose(request)
+        if proposal is None:
+            return None
+        return self._annotate(proposal, self.state.free_sorted)
+
     def try_allocate(self, request: AllocationRequest) -> Optional[Allocation]:
         """Attempt to place ``request`` on the currently free GPUs.
 
@@ -128,9 +145,8 @@ class Mapa:
                 f"job needs {request.num_gpus} GPUs but "
                 f"{self.hardware.name} has only {self.hardware.num_gpus}"
             )
-        available = self.state.free_sorted
-        proposal = self.propose(request)
-        if proposal is None:
+        decision = self.decide(request)
+        if decision is None:
             return None
         job_id: Hashable = request.job_id
         if job_id is None:
@@ -138,9 +154,8 @@ class Mapa:
             # allocation so the caller can release the job later.
             self._anon_counter += 1
             job_id = ("anon", self._anon_counter)
-        annotated = self._annotate(proposal, available, job_id)
-        self.state.allocate(job_id, annotated.gpus)
-        return annotated
+        self.state.allocate(job_id, decision.gpus)
+        return decision.rebind(job_id)
 
     def release(self, job_id: Hashable) -> Tuple[int, ...]:
         """Hand a finished job's GPUs back (the "Job Finished" signal)."""
@@ -151,51 +166,76 @@ class Mapa:
         self.state.reset()
 
     # ------------------------------------------------------------------ #
-    def _annotate(
-        self, alloc: Allocation, available, job_id: Hashable
-    ) -> Allocation:
-        """Fill in the full score vector and the committed ``job_id``.
+    def _annotate(self, alloc: Allocation, available) -> Allocation:
+        """``alloc`` with the full score vector (AggBW, census, Eq. 2, Eq. 3).
 
-        Each component is memoized by its own minimal key — AggBW by
-        the match's edge tuple, census/Eq. 2 by the GPU tuple, Eq. 3
-        PreservedBW by the post-allocation free bitmask — so a winner
-        commits cheaply even on a never-seen free set, as long as any
-        component recurred.  Every cached value is the exact result of
-        the uncached call.  Policy-filled scores win (``agg_bw``,
-        ``effective_bw`` and ``preserved_bw`` are only filled in when
-        absent); census_x/y/z are always (re)written from the induced
-        census, since Eq. 2 operates on the matched GPU set (E(P) ⊆
-        E(M): the match is the induced subgraph).
+        The result is uncommitted: callers commit its
+        :meth:`~repro.policies.base.Allocation.rebind` to the job.
 
-        The finished score vector is additionally pinned onto the
-        proposal *object* (keyed by the model's coefficient vector).
-        Scan-cache winner objects live exactly as long as their
-        content-addressed ``(wiring, pattern, free set)`` entry — every
-        input of the annotation is fixed for the object's lifetime — so
-        a recurring winner re-annotates in one dict lookup, across
-        replays when the cache is shared.  Policies that build fresh
-        proposals per call (``engine="batch"``) simply never hit this
-        memo.
-        The memoized dict is shared read-only — :class:`Allocation`
-        copies it into its frozen mapping view at construction.
+        A scanning policy's proposal is scored off its match table and
+        already carries every key (:meth:`MatchTable.scores
+        <repro.policies.scan.MatchTable.scores>`) except, for Greedy
+        and Oracle, ``effective_bw`` under this engine's model: that is
+        read from a census-keyed memo and inserted after ``census_z``.
+        A complete proposal is returned as is.
+
+        Any other proposal (Baseline, Topo-aware, a spilled winner
+        without census keys) is scored here.  Each component is
+        memoized by its own minimal key — AggBW by the match's edge
+        tuple, census/Eq. 2 by the GPU tuple, Eq. 3 PreservedBW by the
+        post-allocation free bitmask — and every cached value is the
+        exact result of the uncached call.  Policy-filled scores win
+        (``agg_bw``, ``effective_bw`` and ``preserved_bw`` are only
+        filled in when absent); census_x/y/z are always (re)written
+        from the induced census, since Eq. 2 operates on the matched
+        GPU set (E(P) ⊆ E(M): the match is the induced subgraph).
+
+        A completed copy is pinned onto the proposal *object* (keyed by
+        the model's coefficient vector).  Scan-cache winner objects
+        live exactly as long as their content-addressed ``(wiring,
+        pattern, free set)`` entry — every input of the annotation is
+        fixed for the object's lifetime — so a recurring winner
+        completes in one dict lookup, across replays when the cache is
+        shared.
         """
         match = alloc.match
         if match is None:
-            return Allocation(
-                gpus=alloc.gpus,
-                match=None,
-                scores=dict(alloc.scores),
-                job_id=job_id,
-            )
-        memo: Optional[Dict[Tuple[float, ...], Dict[str, float]]] = getattr(
+            return alloc
+        scores = alloc.scores
+        scored = "census_z" in scores and "preserved_bw" in scores
+        if scored and "effective_bw" in scores:
+            return alloc
+        memo: Optional[Dict[Tuple[float, ...], Allocation]] = getattr(
             alloc, "_annotated", None
         )
         if memo is not None:
-            scores = memo.get(self.model.coefficients)
-            if scores is not None:
-                return Allocation(
-                    gpus=alloc.gpus, match=match, scores=scores, job_id=job_id
-                )
+            done = memo.get(self.model.coefficients)
+            if done is not None:
+                return done
+        if scored:
+            census = (scores["census_x"], scores["census_y"], scores["census_z"])
+            effective = self._effective_memo.get(census)
+            if effective is None:
+                x, y, z = (int(c) for c in census)
+                effective = self.model.predict_census(LinkCensus(x, y, z))
+                self._effective_memo[census] = effective
+            completed: Dict[str, float] = {}
+            for key, value in scores.items():
+                completed[key] = value
+                if key == "census_z":
+                    completed["effective_bw"] = effective
+        else:
+            completed = self._rescore(alloc, available)
+        done = Allocation(gpus=alloc.gpus, match=match, scores=completed)
+        if memo is None:
+            memo = {}
+            object.__setattr__(alloc, "_annotated", memo)
+        memo[self.model.coefficients] = done
+        return done
+
+    def _rescore(self, alloc: Allocation, available) -> Dict[str, float]:
+        """The score vector of a proposal that carries no census."""
+        match = alloc.match
         scores = dict(alloc.scores)
         if "agg_bw" not in scores:
             agg = self._agg_memo.get(match.edges)
@@ -231,10 +271,4 @@ class Mapa:
                 preserved = preserved_bandwidth(self.hardware, match, available)
                 self._preserved_memo[remaining_mask] = preserved
             scores["preserved_bw"] = preserved
-        if memo is None:
-            memo = {}
-            object.__setattr__(alloc, "_annotated", memo)
-        memo[self.model.coefficients] = scores
-        return Allocation(
-            gpus=alloc.gpus, match=match, scores=scores, job_id=job_id
-        )
+        return scores

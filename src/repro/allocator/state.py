@@ -196,7 +196,7 @@ class AllocationState:
         self, job_id: Hashable, gpus: Tuple[int, ...], delta: int
     ) -> None:
         """:meth:`allocate` for a ``(gpus, delta)`` pair built by
-        :meth:`mask_of` from an earlier committed allocation.
+        :meth:`mask_of` from a decision on this state.
 
         The decision-memo hit path re-commits the same winner thousands
         of times per replay; validating the whole set with one mask

@@ -764,12 +764,25 @@ class MultiServerScheduler:
                 request.pattern,
             )
             entry = self._decision_memo.get(key)
+            if entry is None:
+                # A novel decision: the memo keeps the decision object
+                # itself, with its canonical GPU tuple and bitmask.
+                template = engine.decide(request)
+                if template is not None:
+                    if len(self._decision_memo) >= _DECISION_MEMO_CAP:
+                        self._decision_memo.clear()
+                    chosen = tuple(sorted(set(template.gpus)))
+                    entry = self._decision_memo[key] = (
+                        template,
+                        chosen,
+                        engine.state.mask_of(chosen),
+                    )
             if entry is not None:
-                # Memoized winner: re-commit with the stored canonical
-                # GPU tuple and its prebuilt bitmask (one intersection
-                # validates the whole set), then re-bucket the index
-                # directly — the state change is exactly the delta, so
-                # no dirty-set round trip is needed.
+                # Commit with the stored canonical GPU tuple and its
+                # prebuilt bitmask (one intersection validates the whole
+                # set), then re-bucket the index directly — the state
+                # change is exactly the delta, so no dirty-set round
+                # trip is needed.
                 template, chosen, delta = entry
                 state = engine.state
                 state.allocate_prevalidated(request.job_id, chosen, delta)
@@ -778,19 +791,6 @@ class MultiServerScheduler:
                 return ClusterPlacement(
                     server_index=idx, allocation=template.rebind(request.job_id)
                 )
-            allocation = engine.try_allocate(request)
-            if allocation is not None:
-                if len(self._decision_memo) >= _DECISION_MEMO_CAP:
-                    self._decision_memo.clear()
-                chosen = tuple(sorted(set(allocation.gpus)))
-                self._decision_memo[key] = (
-                    allocation,
-                    chosen,
-                    engine.state.mask_of(chosen),
-                )
-                self._sync_index(idx)
-                self._job_server[request.job_id] = idx
-                return ClusterPlacement(server_index=idx, allocation=allocation)
         for idx in self._candidates(request):
             allocation = self.engines[idx].try_allocate(request)
             if allocation is not None:
@@ -817,7 +817,7 @@ class MultiServerScheduler:
             proposal = engine.propose(request)
             if proposal is None:
                 continue
-            annotated = engine._annotate(proposal, free, request.job_id)
+            annotated = engine._annotate(proposal, free)
             score = annotated.scores.get("effective_bw", 0.0)
             if score > best_score:
                 best_score = score
@@ -828,7 +828,9 @@ class MultiServerScheduler:
         self.engines[best_idx].state.allocate(request.job_id, best_alloc.gpus)
         self._sync_index(best_idx)
         self._job_server[request.job_id] = best_idx
-        return ClusterPlacement(server_index=best_idx, allocation=best_alloc)
+        return ClusterPlacement(
+            server_index=best_idx, allocation=best_alloc.rebind(request.job_id)
+        )
 
     def release(self, job_id: Hashable) -> Tuple[int, Tuple[int, ...]]:
         """Free a finished job; returns (server index, freed GPUs)."""

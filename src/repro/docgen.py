@@ -135,13 +135,24 @@ def cli_reference_markdown() -> str:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Write the generated page to the path given on the command line."""
-    args = sys.argv[1:] if argv is None else argv
+    """Write the generated page to the optional output path, else stdout.
+
+    ``-h``/``--help`` prints usage and exits 0; an unknown flag exits 2
+    (argparse's convention), so no flag is ever taken for a path.
+    """
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.docgen",
+        description="Generate the CLI reference page (docs/cli.md).",
+    )
+    parser.add_argument(
+        "output", nargs="?", help="file to write; stdout when omitted"
+    )
+    args = parser.parse_args(argv)
     text = cli_reference_markdown()
-    if args:
-        with open(args[0], "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"wrote {args[0]}")
+        print(f"wrote {args.output}")
     else:
         print(text, end="")
     return 0

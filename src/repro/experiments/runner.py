@@ -42,6 +42,7 @@ from ..scoring.regression import fit_for_hardware
 from ..sim.cluster import run_policy
 from ..sim.records import SimulationLog
 from ..topology.builders import by_name
+from ..workloads.jobs import JobFile
 from .spec import CellConfig, ExperimentSpec
 from .spill import ScanSpillStore
 from .store import CellResult, ResultStore
@@ -134,6 +135,19 @@ def _pool_mp_context():
         return None
 
 
+@lru_cache(maxsize=8)
+def _built_trace(spec) -> JobFile:
+    """Per-process memo of ``spec.build()``, keyed by the resolved spec.
+
+    The cells of a dispatch piece (and of most grids) replay one trace,
+    so a worker generates it once.  Sharing is sound: a build is a pure
+    function of the spec, :class:`~repro.workloads.jobs.Job` is frozen,
+    and the only thing a replay pins on a job (its allocation request)
+    is a pure derivative of the job's fields.
+    """
+    return spec.build()
+
+
 def _warmed_scan_cache(hardware) -> ScanCache:
     """The worker's shared scan cache, spill-warmed for ``hardware``."""
     cache = _worker_scan_cache()
@@ -162,7 +176,7 @@ def simulate_cell(cell: CellConfig) -> CellResult:
         model = PAPER_MODEL
     else:
         model = _refit_model(cell.topology, cell.fit_sizes)
-    trace = cell.trace.build()
+    trace = _built_trace(cell.trace)
     policy = make_policy(cell.policy, model, cache=_warmed_scan_cache(hardware))
     log = run_policy(
         hardware,

@@ -11,15 +11,17 @@ same server wiring shares the partition).
 
 What is spilled
 ---------------
-Winners, not scans.  A cache entry's ``value`` is a
-:class:`~repro.policies.scan.BatchScan` — a restriction of the cache's
-per-wiring match table, cheap to rebuild once the table exists — while
-what replays actually consume is the per-objective-token *winner*
-memo: the argmax :class:`~repro.policies.base.Allocation` each policy
-selected.  A winner round-trips as its ``(token, gpus, mapping,
-scores)`` row (the match is rebuilt from the pattern via
-:func:`~repro.matching.candidates.match_from_mapping`; floats survive
-JSON bit-exactly; tuple tokens come back as tuples).  A rehydrated
+Winners, not scans.  A cache entry's ``value`` is the kept rows of a
+restriction of the cache's per-wiring match table — cheap to rebuild
+once the table exists — while what replays actually consume is the
+per-objective-token *winner* memo: the complete
+:class:`~repro.policies.base.Allocation` each policy selected, its
+score vector read off the table.  A winner round-trips as its
+``(token, gpus, mapping, scores)`` row (the match is rebuilt from the
+pattern via :func:`~repro.matching.candidates.match_from_mapping`;
+floats survive JSON bit-exactly; tuple tokens come back as tuples).  A
+row keeps only the objective's own scores, the items before
+``census_x``: the engine scores the rest on commit, as it always did.  A rehydrated
 entry serves every spilled winner without touching a scan; only a
 *novel* objective token triggers a lazy restriction of the table (see
 :meth:`repro.scoring.memo.CacheEntry.materialize`), which is
@@ -51,6 +53,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ..appgraph.application import ApplicationGraph
@@ -71,7 +74,11 @@ def _row(token: Any, value: Any) -> Optional[List[Any]]:
     """One winner as a JSON row, or ``None`` when it cannot round-trip."""
     if not isinstance(value, Allocation) or value.match is None:
         return None
-    scores = dict(value.scores)
+    # The objective's own scores only: what follows (the census and
+    # PreservedBW) is rescored on commit, so rows stay in one format.
+    scores = dict(
+        takewhile(lambda item: item[0] != "census_x", value.scores.items())
+    )
     if not all(
         isinstance(k, str) and isinstance(v, (int, float))
         for k, v in scores.items()

@@ -9,10 +9,8 @@ from .topo_aware import TopoAwarePolicy
 from .registry import POLICY_NAMES, all_policies, make_policy
 from .scan import (
     SCAN_ENGINES,
-    BatchScan,
     CachedScan,
     MatchTable,
-    ScoredMatch,
     UncachedScan,
     batch_scan,
 )
@@ -31,10 +29,8 @@ __all__ = [
     "all_policies",
     "make_policy",
     "SCAN_ENGINES",
-    "BatchScan",
     "CachedScan",
     "MatchTable",
-    "ScoredMatch",
     "UncachedScan",
     "batch_scan",
 ]

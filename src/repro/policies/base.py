@@ -13,13 +13,13 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import FrozenSet, Hashable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Hashable, Mapping, Optional, Sequence, Tuple
 
 from ..appgraph.application import ApplicationGraph
 from ..matching.candidates import Match
 from ..scoring.memo import ScanCache
 from ..topology.hardware import HardwareGraph
-from .scan import SCAN_ENGINES, CachedScan, UncachedScan
+from .scan import SCAN_ENGINES, CachedScan, MatchTable, UncachedScan
 
 
 @dataclass(frozen=True)
@@ -136,8 +136,12 @@ class ScanningPolicy(AllocationPolicy):
 
     Greedy, Preserve and Oracle differ only in the objective.  Each
     ``allocate`` checks feasibility, picks an objective — a winner-memo
-    token and a ``proposal(scan) -> Allocation`` selector — and asks the
-    scan source for its decision.  The source is picked once, here.
+    token and a ``proposal(table, kept, free_mask) -> Allocation``
+    selector — and asks the scan source for its decision.  The source
+    is picked once, here.  A selector picks one table row and returns
+    :meth:`_allocation` of it: one complete proposal whose scores all
+    come off the table, which :class:`~repro.allocator.mapa.Mapa`
+    commits without re-scoring.
 
     Parameters
     ----------
@@ -168,3 +172,20 @@ class ScanningPolicy(AllocationPolicy):
         self._scans = CachedScan(cache) if engine == "cached" else UncachedScan()
         #: The backing cache, or ``None`` under ``engine="batch"``.
         self.scan_cache: Optional[ScanCache] = self._scans.cache
+
+    @staticmethod
+    def _allocation(
+        table: MatchTable, row: int, free_mask: int, head: Dict[str, float]
+    ) -> Allocation:
+        """The proposal of ``table`` row ``row``, scored in full.
+
+        ``head`` is the objective's own scores, ending with ``agg_bw``
+        (:meth:`~repro.policies.scan.MatchTable.scores` appends the
+        rest).
+        """
+        match = table.match(row)
+        return Allocation(
+            gpus=match.vertices,
+            match=match,
+            scores=table.scores(row, free_mask, head),
+        )

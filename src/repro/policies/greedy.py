@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from typing import FrozenSet, Optional
 
-from ..matching.candidates import match_from_mapping
+import numpy as np
+
 from ..topology.hardware import HardwareGraph
 from .base import Allocation, AllocationRequest, ScanningPolicy
-from .scan import BatchScan, best_match_by_agg
+from .scan import MatchTable, best_row_by_agg
 
 
 class GreedyPolicy(ScanningPolicy):
@@ -28,13 +29,14 @@ class GreedyPolicy(ScanningPolicy):
 
     name = "greedy"
 
-    @staticmethod
-    def _proposal(scan: BatchScan) -> Allocation:
+    @classmethod
+    def _proposal(
+        cls, table: MatchTable, kept: np.ndarray, free_mask: int
+    ) -> Allocation:
         """The AggBW-winning proposal of one scan."""
-        best = best_match_by_agg(scan)
-        match = match_from_mapping(scan.pattern, best.mapping)
-        return Allocation(
-            gpus=best.subset, match=match, scores={"agg_bw": best.agg_bw}
+        row = best_row_by_agg(table, kept)
+        return cls._allocation(
+            table, row, free_mask, {"agg_bw": float(table.agg_max[row])}
         )
 
     def allocate(

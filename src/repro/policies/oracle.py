@@ -15,11 +15,10 @@ import numpy as np
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from ..comm.microbench import peak_effective_bandwidth
-from ..matching.candidates import match_from_mapping
 from ..scoring.memo import ScanCache
 from ..topology.hardware import HardwareGraph
 from .base import Allocation, AllocationRequest, ScanningPolicy
-from .scan import BatchScan, best_match_by_preserved, best_match_by_subset_score
+from .scan import MatchTable, best_row_by_preserved, best_row_by_subset_score
 
 
 class OraclePolicy(ScanningPolicy):
@@ -60,7 +59,9 @@ class OraclePolicy(ScanningPolicy):
             return None
         if request.bandwidth_sensitive:
             token = ("oracle-measured",)
-            proposal = lambda scan: self._sensitive_proposal(scan, hardware)
+            proposal = lambda table, kept, mask: self._sensitive_proposal(
+                table, kept, mask, hardware
+            )
         else:
             token = ("oracle-preserved",)
             proposal = self._insensitive_proposal
@@ -69,34 +70,37 @@ class OraclePolicy(ScanningPolicy):
         )
 
     def _sensitive_proposal(
-        self, scan: BatchScan, hardware: HardwareGraph
+        self,
+        table: MatchTable,
+        kept: np.ndarray,
+        free_mask: int,
+        hardware: HardwareGraph,
     ) -> Allocation:
         """Maximise the *measured* bandwidth over candidate subsets."""
         measured = np.array(
-            [
-                self._measure(hardware, scan.subset(s))
-                for s in range(scan.num_subsets)
-            ],
+            [self._measure(hardware, table.subset(row)) for row in kept.tolist()],
             dtype=np.float64,
         )
-        best = best_match_by_subset_score(scan, measured)
-        match = match_from_mapping(scan.pattern, best.mapping)
-        return Allocation(
-            gpus=best.subset,
-            match=match,
-            scores={
-                "measured_bw": self._measure(hardware, best.subset),
-                "agg_bw": best.agg_bw,
+        row = best_row_by_subset_score(table, kept, measured)
+        return self._allocation(
+            table,
+            row,
+            free_mask,
+            {
+                "measured_bw": self._measure(hardware, table.subset(row)),
+                "agg_bw": float(table.agg_max[row]),
             },
         )
 
-    @staticmethod
-    def _insensitive_proposal(scan: BatchScan) -> Allocation:
+    @classmethod
+    def _insensitive_proposal(
+        cls, table: MatchTable, kept: np.ndarray, free_mask: int
+    ) -> Allocation:
         """Insensitive branch identical to Preserve (Eq. 3 is exact anyway)."""
-        best, best_score = best_match_by_preserved(scan)
-        match = match_from_mapping(scan.pattern, best.mapping)
-        return Allocation(
-            gpus=best.subset,
-            match=match,
-            scores={"preserved_bw": best_score, "agg_bw": best.agg_bw},
+        row, preserved = best_row_by_preserved(table, kept, free_mask)
+        return cls._allocation(
+            table,
+            row,
+            free_mask,
+            {"preserved_bw": preserved, "agg_bw": float(table.agg_max[row])},
         )

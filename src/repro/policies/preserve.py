@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Optional, Tuple
 
-from ..matching.candidates import match_from_mapping
+import numpy as np
+
 from ..scoring.census import LinkCensus
 from ..scoring.effective import EffectiveBandwidthModel, PAPER_MODEL
 from ..scoring.memo import ScanCache
 from ..topology.hardware import HardwareGraph
 from .base import Allocation, AllocationRequest, ScanningPolicy
-from .scan import BatchScan, best_match_by_preserved, best_match_by_subset_score
+from .scan import MatchTable, best_row_by_preserved, best_row_by_subset_score
 
 
 class PreservePolicy(ScanningPolicy):
@@ -79,32 +80,32 @@ class PreservePolicy(ScanningPolicy):
             request.pattern, hardware, available, free_mask, token, proposal
         )
 
-    def _sensitive_proposal(self, scan: BatchScan) -> Allocation:
+    def _sensitive_proposal(
+        self, table: MatchTable, kept: np.ndarray, free_mask: int
+    ) -> Allocation:
         """Maximise the predicted EffBW of the induced census (Eq. 2)."""
-        best = best_match_by_subset_score(
-            scan,
-            scan.subset_effective_bw(self._predict, self.model.coefficients),
-        )
-        match = match_from_mapping(scan.pattern, best.mapping)
-        return Allocation(
-            gpus=best.subset,
-            match=match,
-            scores={
-                "effective_bw": self._predict(best.census),
-                "agg_bw": best.agg_bw,
-            },
+        eff = table.effective_bw(self._predict, self.model.coefficients)
+        row = best_row_by_subset_score(table, kept, eff[kept])
+        return self._allocation(
+            table,
+            row,
+            free_mask,
+            {"effective_bw": float(eff[row]), "agg_bw": float(table.agg_max[row])},
         )
 
-    def _insensitive_proposal(self, scan: BatchScan) -> Allocation:
+    def _insensitive_proposal(
+        self, table: MatchTable, kept: np.ndarray, free_mask: int
+    ) -> Allocation:
         """Maximise the bandwidth preserved for future jobs (Eq. 3)."""
-        best, best_score = best_match_by_preserved(scan)
-        match = match_from_mapping(scan.pattern, best.mapping)
-        return Allocation(
-            gpus=best.subset,
-            match=match,
-            scores={
-                "preserved_bw": best_score,
-                "effective_bw": self._predict(best.census),
-                "agg_bw": best.agg_bw,
+        row, preserved = best_row_by_preserved(table, kept, free_mask)
+        eff = table.effective_bw(self._predict, self.model.coefficients)
+        return self._allocation(
+            table,
+            row,
+            free_mask,
+            {
+                "preserved_bw": preserved,
+                "effective_bw": float(eff[row]),
+                "agg_bw": float(table.agg_max[row]),
             },
         )

@@ -16,10 +16,12 @@ against the topology's precomputed
 enumerates the k-subsets of a GPU universe as numpy index matrices and
 reduces them through :mod:`repro.scoring.batch` — induced censuses via
 one gather, AggBW for every orbit via one product, Eq. 2 via
-unique-census lookup.  A scan (:class:`BatchScan`) is a *restriction*
-of a table: the rows whose subset lies inside the free set, selected by
-bitmask.  The ``best_*`` selectors read table rows and materialise only
-the winner.
+unique-census lookup.  A scan is a *restriction* of a table: the kept
+rows, whose subsets lie inside the free set, selected by bitmask.  The
+``best_row_*`` selectors read table rows and return only the winning
+row; the policy then materialises one complete
+:class:`~repro.policies.base.Allocation` from it, every score (census,
+AggBW, Eq. 2, Eq. 3) read off the table.
 
 A scanning policy (:class:`~repro.policies.base.ScanningPolicy`) gets
 its scans from one of two *scan sources*, picked once by ``engine=``:
@@ -28,9 +30,9 @@ its scans from one of two *scan sources*, picked once by ``engine=``:
   production) holds one table per (wiring, pattern), built over the
   whole server on first contact and kept in the
   :class:`~repro.scoring.memo.ScanCache`'s ``aux`` side-car, and answers
-  each scan by restricting it to the free mask.  The restrictions — and
-  the argmax winners selected from them — are stored in the cache keyed
-  by ``(topology_hash, pattern_id, free_set_bitmask)``, so a server that
+  each scan by restricting it to the free mask.  The kept rows — and
+  the winners selected from them — are stored in the cache keyed by
+  ``(topology_hash, pattern_id, free_set_bitmask)``, so a server that
   returns to a previously seen free set replays the stored winner
   without even filtering;
 * :class:`UncachedScan` (``engine="batch"``) builds a table over the
@@ -51,8 +53,7 @@ why the scores are bit-identical).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from typing import (
     Callable,
@@ -68,7 +69,7 @@ from typing import (
 import numpy as np
 
 from ..appgraph.application import ApplicationGraph
-from ..matching.candidates import orbit_permutations
+from ..matching.candidates import Match, orbit_permutations
 from ..scoring import batch as batch_scoring
 from ..scoring.census import LinkCensus
 from ..scoring.memo import CacheEntry, ScanCache, pattern_id
@@ -76,28 +77,16 @@ from ..topology.hardware import HardwareGraph
 
 Pair = Tuple[int, int]
 
-
-@dataclass(frozen=True)
-class ScoredMatch:
-    """A candidate match with its cheap scores precomputed.
-
-    ``census`` is the induced (x, y, z) census of the matched GPU set —
-    the Eq. 2 input; ``match_census`` counts only the links the pattern's
-    edges occupy; ``agg_bw`` is Eq. 1 over those same mapped edges.
-    """
-
-    subset: Tuple[int, ...]
-    mapping: Tuple[int, ...]
-    census: LinkCensus
-    match_census: LinkCensus
-    agg_bw: float
+#: What a scan source hands a policy's selector: the table, the kept
+#: rows (ascending) and the free mask over the table's universe.
+Proposal = Callable[["MatchTable", np.ndarray, int], object]
 
 
 @lru_cache(maxsize=256)
 def _orbit_index_pairs(
     pattern: ApplicationGraph,
 ) -> Tuple[Tuple[Pair, ...], ...]:
-    """Per orbit permutation, the pattern edges as subset-index pairs.
+    """Per orbit permutation, the pattern edges as sorted subset-index pairs.
 
     Memoized alongside :func:`~repro.matching.candidates.orbit_permutations`
     (patterns hash by structure): every scan of the same pattern reuses
@@ -105,11 +94,11 @@ def _orbit_index_pairs(
     """
     out: List[Tuple[Pair, ...]] = []
     for perm in orbit_permutations(pattern):
-        pairs = tuple(
+        pairs = sorted(
             (perm[u], perm[v]) if perm[u] < perm[v] else (perm[v], perm[u])
             for u, v in pattern.edges
         )
-        out.append(pairs)
+        out.append(tuple(pairs))
     return tuple(out)
 
 
@@ -195,7 +184,7 @@ class MatchTable:
     Those are exactly the k-subsets of the free GPUs, in the same
     lexicographic order, so every argmax and tie-break over a
     restriction is the one a build over the free GPUs alone would make.
-    Only PreservedBW (Eq. 3) reads the free set; the restriction
+    Only PreservedBW (Eq. 3) reads the free set; :meth:`preserved_bw`
     computes it from the free mask.
 
     Attributes
@@ -254,20 +243,21 @@ class MatchTable:
         self.agg_max = self.agg_bw.max(axis=1)
         self.bandwidth = bandwidth
         self.codes = codes
-        self._code_rows = codes.tolist()
+        self._bits = (
+            np.left_shift(1, np.arange(n, dtype=np.int64)) if n < 63 else None
+        )
         self._orbit_pairs = _orbit_index_pairs(pattern)
         self._effective: Dict[Hashable, np.ndarray] = {}
 
-    def restrict(self, free_mask: int) -> Optional["BatchScan"]:
-        """The scan of the free set ``free_mask`` (bits over ``verts``).
+    def restrict(self, free_mask: int) -> Optional[np.ndarray]:
+        """The kept rows of the free set ``free_mask`` (bits over ``verts``).
 
-        ``None`` when the pattern does not fit the free set.
+        Ascending row indices; ``None`` when the pattern does not fit
+        the free set.
         """
         busy = self.full_mask & ~free_mask
         kept = np.flatnonzero((self.masks & busy) == 0)
-        if kept.size == 0:
-            return None
-        return BatchScan(self, kept, free_mask)
+        return kept if kept.size else None
 
     def effective_bw(
         self, predict: Callable[[LinkCensus], float], token: Hashable
@@ -275,12 +265,34 @@ class MatchTable:
         """Eq. 2 score of every row, memoized per ``token``.
 
         ``token`` must identify ``predict`` (the policies pass the
-        model's coefficient vector).
+        model's coefficient vector).  ``predict`` is called once per
+        *unique* census, so each value is bit-identical to one
+        ``predict`` call on the row's census.
         """
         scores = self._effective.get(token)
         if scores is None:
             scores = self._effective[token] = _predict_rows(self.census, predict)
         return scores
+
+    def _free(self, free_mask: int) -> np.ndarray:
+        """The free set ``free_mask`` as a 0/1 float vector over ``verts``."""
+        if self._bits is not None:
+            return ((self._bits & free_mask) != 0).astype(np.float64)
+        return np.array(
+            [free_mask >> i & 1 for i in range(len(self.verts))], dtype=np.float64
+        )
+
+    def preserved_bw(self, kept: np.ndarray, free_mask: int) -> np.ndarray:
+        """Eq. 3 score of rows ``kept`` against the free set ``free_mask``.
+
+        :func:`~repro.scoring.batch.batch_preserved_bw`'s exact
+        ``total − lost + within`` arithmetic: bandwidths are
+        integer-valued, so each value equals
+        :func:`~repro.scoring.preserved.preserved_bandwidth` bit for bit.
+        """
+        return batch_scoring.batch_preserved_bw(
+            self.bandwidth, self._free(free_mask), self.subsets[kept], self.within[kept]
+        )
 
     # ------------------------------------------------------------------ #
     def subset(self, row: int) -> Tuple[int, ...]:
@@ -288,219 +300,57 @@ class MatchTable:
         verts = self.verts
         return tuple([verts[i] for i in self.subsets[row].tolist()])
 
-    def scored_match(self, row: int, o: int) -> ScoredMatch:
-        """Materialise match ``(row, orbit o)`` as a :class:`ScoredMatch`.
+    def match(self, row: int) -> Match:
+        """The winning match of row ``row``: its first AggBW-best orbit.
 
-        Only ever called for selected winners.  The match census is
-        counted from the link classes of the orbit's edges rather than
-        stored per match.
+        Equal to :func:`~repro.matching.candidates.match_from_mapping`
+        of the orbit's mapping: the subset ascends, so the orbit's
+        sorted index pairs map onto sorted GPU pairs.
         """
-        local = self.subsets[row].tolist()
-        verts = self.verts
-        subset = tuple([verts[i] for i in local])
-        codes = self._code_rows
-        counts = [0, 0, 0]
-        for a, b in self._orbit_pairs[o]:
-            counts[codes[local[a]][local[b]]] += 1
-        x, y, z = self.census[row].tolist()
-        return ScoredMatch(
-            subset=subset,
+        subset = self.subset(row)
+        o = int(self.agg_best[row])
+        return Match(
+            vertices=subset,
             mapping=tuple([subset[p] for p in self.orbits[o]]),
-            census=LinkCensus(x, y, z),
-            match_census=LinkCensus(counts[0], counts[1], counts[2]),
-            agg_bw=float(self.agg_bw[row, o]),
+            edges=tuple([(subset[a], subset[b]) for a, b in self._orbit_pairs[o]]),
         )
 
+    def scores(self, row: int, free_mask: int, head: Dict[str, float]) -> Dict[str, float]:
+        """The complete score vector of row ``row``'s winning match.
 
-class BatchScan:
-    """The whole candidate space of one scan: a restriction of a table.
-
-    A :class:`BatchScan` is ``(table, kept rows, free mask)``: the
-    :class:`MatchTable` rows whose subsets lie inside the free set.
-    Restricted subset ``s`` is table row ``kept[s]``, and match
-    ``(s, o)`` is the ``s * num_orbits + o``-th match in candidate
-    order.  The array attributes below are computed on first access,
-    equal (order, dtype, values) to a dense build over the free GPUs;
-    the selectors never touch them and read the table's rows instead.
-
-    Attributes
-    ----------
-    pattern:
-        The application pattern being matched.
-    verts:
-        The free GPUs, sorted ascending (the subset universe).
-    orbits:
-        Orbit permutations of the pattern, in enumeration order.
-    subsets_local:
-        ``(S, k)`` int array of candidate subsets as indices into
-        ``verts`` (rows ascend lexicographically).
-    induced_census:
-        ``(S, 3)`` int array — the induced (x, y, z) census of each
-        subset, shared by all of its mappings (the Eq. 2 input).
-    match_census:
-        ``(S, O, 3)`` int array — the census of the links each match's
-        pattern edges occupy (``E(P) ∩ E(M)``).
-    agg_bw:
-        ``(S, O)`` float array — Eq. 1 AggBW per match.
-    subset_pair_bw:
-        ``(S, P)`` float array of per-subset pairwise bandwidths
-        (``P = k·(k-1)/2``).
-    free_bandwidth:
-        ``(m, m)`` bandwidth matrix over ``verts`` (zero diagonal).
-    """
-
-    def __init__(self, table: MatchTable, kept: np.ndarray, free_mask: int) -> None:
-        self.table = table
-        self.kept = kept
-        self.free_mask = free_mask
-
-    @property
-    def pattern(self) -> ApplicationGraph:
-        """The application pattern being matched."""
-        return self.table.pattern
-
-    @property
-    def orbits(self) -> Tuple[Tuple[int, ...], ...]:
-        """Orbit permutations of the pattern, in enumeration order."""
-        return self.table.orbits
-
-    @property
-    def num_subsets(self) -> int:
-        """Number of candidate GPU subsets (``C(m, k)``)."""
-        return self.kept.shape[0]
-
-    @property
-    def num_orbits(self) -> int:
-        """Distinct orbit permutations of the pattern."""
-        return len(self.table.orbits)
-
-    @property
-    def num_matches(self) -> int:
-        """Total candidates scored: subsets × orbit permutations."""
-        return self.num_subsets * self.num_orbits
-
-    # ------------------------------------------------------------------ #
-    # lazy dense views
-    # ------------------------------------------------------------------ #
-    @cached_property
-    def free_index(self) -> np.ndarray:
-        """Table-universe indices of the free GPUs, ascending."""
-        mask = self.free_mask
-        return np.array(
-            [i for i in range(len(self.table.verts)) if mask >> i & 1],
-            dtype=np.intp,
-        )
-
-    @cached_property
-    def verts(self) -> Tuple[int, ...]:
-        """The free GPUs, ascending."""
-        verts = self.table.verts
-        return tuple([verts[i] for i in self.free_index.tolist()])
-
-    @property
-    def _subsets(self) -> np.ndarray:
-        """Kept rows as table-universe indices (not kept on the entry)."""
-        return self.table.subsets[self.kept]
-
-    @cached_property
-    def subsets_local(self) -> np.ndarray:
-        """``(S, k)`` candidate subsets as indices into :attr:`verts`."""
-        rank = np.full(len(self.table.verts), -1, dtype=np.intp)
-        rank[self.free_index] = np.arange(self.free_index.size, dtype=np.intp)
-        return rank[self._subsets]
-
-    @cached_property
-    def induced_census(self) -> np.ndarray:
-        """``(S, 3)`` induced census of each candidate subset."""
-        return self.table.census[self.kept]
-
-    @cached_property
-    def agg_bw(self) -> np.ndarray:
-        """``(S, O)`` Eq. 1 AggBW per match."""
-        return self.table.agg_bw[self.kept]
-
-    @cached_property
-    def match_census(self) -> np.ndarray:
-        """``(S, O, 3)`` census of the links each match's edges occupy."""
-        a_idx, b_idx = batch_scoring.pair_slots(self.pattern.num_gpus)
-        subsets = self._subsets
-        codes = self.table.codes[subsets[:, a_idx], subsets[:, b_idx]]
-        incidence = _orbit_incidence(self.pattern)
-        out = np.empty((self.num_subsets, self.num_orbits, 3), dtype=np.int64)
-        for axis, c in enumerate(batch_scoring.CLASS_CODES):
-            out[..., axis] = (codes == c) @ incidence
-        return out
-
-    @cached_property
-    def subset_pair_bw(self) -> np.ndarray:
-        """``(S, P)`` pairwise bandwidths of each candidate subset."""
-        a_idx, b_idx = batch_scoring.pair_slots(self.pattern.num_gpus)
-        subsets = self._subsets
-        return self.table.bandwidth[subsets[:, a_idx], subsets[:, b_idx]]
-
-    @cached_property
-    def free_bandwidth(self) -> np.ndarray:
-        """``(m, m)`` bandwidth matrix over :attr:`verts`."""
-        index = self.free_index
-        return self.table.bandwidth[index[:, None], index]
-
-    # ------------------------------------------------------------------ #
-    def subset(self, s: int) -> Tuple[int, ...]:
-        """GPU ids of candidate subset ``s`` (ascending)."""
-        return self.table.subset(int(self.kept[s]))
-
-    def scored_match(self, s: int, o: int) -> ScoredMatch:
-        """Materialise match ``(subset s, orbit o)`` as a :class:`ScoredMatch`."""
-        return self.table.scored_match(int(self.kept[s]), o)
-
-    # ------------------------------------------------------------------ #
-    def subset_effective_bw(
-        self,
-        predict: Callable[[LinkCensus], float],
-        token: Optional[Hashable] = None,
-    ) -> np.ndarray:
-        """Eq. 2 score of every subset's induced census, via ``predict``.
-
-        ``predict`` is called once per *unique* census (so a policy's
-        memo cache keeps working across events) and the results are
-        broadcast back over the subsets via
-        :func:`repro.scoring.batch.map_unique_censuses` — batch values
-        are therefore bit-identical to one ``predict`` call per match.
-        With a ``token`` identifying ``predict`` the whole table's
-        scores are memoized under it and a later scan of the table only
-        filters them.
+        ``head`` holds the objective's own scores and ends with
+        ``agg_bw``; the induced census follows, then ``preserved_bw``
+        unless the head has it — the key order
+        :meth:`Mapa._annotate <repro.allocator.mapa.Mapa._annotate>`
+        commits.  ``head`` is extended in place and returned.
         """
-        if token is None:
-            return _predict_rows(self.induced_census, predict)
-        return self.table.effective_bw(predict, token)[self.kept]
-
-    def subset_preserved_bw(self) -> np.ndarray:
-        """Eq. 3 score of every subset against the current free set."""
-        table = self.table
-        free = np.zeros(len(table.verts), dtype=np.float64)
-        free[self.free_index] = 1.0
-        return batch_scoring.batch_preserved_bw(
-            table.bandwidth, free, self._subsets, table.within[self.kept]
-        )
+        x, y, z = self.census[row].tolist()
+        head["census_x"] = float(x)
+        head["census_y"] = float(y)
+        head["census_z"] = float(z)
+        if "preserved_bw" not in head:
+            head["preserved_bw"] = float(
+                self.preserved_bw(np.array([row]), free_mask)[0]
+            )
+        return head
 
 
 def batch_scan(
     pattern: ApplicationGraph,
     hardware: HardwareGraph,
     available: FrozenSet[int] | Sequence[int],
-) -> Optional[BatchScan]:
+) -> Optional[MatchTable]:
     """Score every match of ``pattern`` on the free GPUs in one shot.
 
-    Builds a :class:`MatchTable` over the free GPUs and keeps all of its
-    rows — :class:`UncachedScan` and :class:`CachedScan`'s server-wide
-    tables share this one builder.  Returns ``None`` when the pattern
-    cannot fit the available GPUs.
+    The :class:`MatchTable` over the free GPUs — every row a candidate
+    — which :class:`UncachedScan` selects from; :class:`CachedScan`'s
+    server-wide tables share this one builder.  Returns ``None`` when
+    the pattern cannot fit the available GPUs.
     """
     verts = tuple(sorted(set(available)))
     if pattern.num_gpus > len(verts):
         return None
-    table = MatchTable(pattern, hardware, verts)
-    return table.restrict(table.full_mask)
+    return MatchTable(pattern, hardware, verts)
 
 
 # ---------------------------------------------------------------------- #
@@ -522,11 +372,13 @@ class UncachedScan:
         available: FrozenSet[int] | Sequence[int],
         free_mask: Optional[int],
         token: Hashable,
-        proposal: Callable[[BatchScan], object],
+        proposal: Proposal,
     ):
         """``proposal`` of the scan of ``available``; ``None`` if it cannot fit."""
-        scan = batch_scan(pattern, hardware, available)
-        return None if scan is None else proposal(scan)
+        table = batch_scan(pattern, hardware, available)
+        if table is None:
+            return None
+        return proposal(table, table.restrict(table.full_mask), table.full_mask)
 
 
 class CachedScan:
@@ -537,9 +389,9 @@ class CachedScan:
     ``(topology_hash, pattern_id, free_set_bitmask)`` key against a
     :class:`~repro.scoring.memo.ScanCache`, restricting the
     (wiring, pattern)'s :class:`MatchTable` only on a miss, and the
-    returned :class:`~repro.scoring.memo.CacheEntry` additionally
-    memoizes each policy's argmax winner per objective token — a hit
-    skips the scan *and* the selection pass.
+    returned :class:`~repro.scoring.memo.CacheEntry` — the kept rows —
+    additionally memoizes each policy's winner per objective token: a
+    hit skips the scan *and* the selection pass.
 
     The tables live in the cache's ``aux`` side-car under
     ``("match-table", topology_hash, pattern_id)``: each cache builds a
@@ -592,26 +444,27 @@ class CachedScan:
         allocator threads :attr:`AllocationState.free_bitmask
         <repro.allocator.state.AllocationState.free_bitmask>` down,
         keeping key construction O(1), and the mask is what restricts
-        the table.  Returns ``None`` when the pattern cannot fit the
-        free set (never cached: the feasibility pre-check makes it
-        rare).
+        the table.  The entry's ``value`` is the kept rows of the
+        server-wide table.  Returns ``None`` when the pattern cannot
+        fit the free set (never cached: the feasibility pre-check makes
+        it rare).
         """
         cache = self.cache
         if free_mask is None:
             free_mask = cache.free_mask(hardware, available)
-        key = cache.key(hardware, pattern, free_mask)
+        key = (hardware.topology_hash, pattern_id(pattern), free_mask)
         entry = cache.lookup(key)
         if entry is None:
             if pattern.num_gpus > len(available):
                 return None
-            scan = self.table(pattern, hardware).restrict(free_mask)
-            entry = cache.insert(key, scan)
+            entry = cache.insert(
+                key, self.table(pattern, hardware).restrict(free_mask)
+            )
         elif entry.value is None:
             # Spill-rehydrated entry: it carries winners but not the
-            # scan.  Install (or refresh) the lazy restriction of this
-            # cache's table — the key pins the exact free set, so it is
-            # bit-identical to the spilled scan — which fires only if a
-            # novel objective token asks.
+            # kept rows.  Install (or refresh) the lazy restriction of
+            # this cache's table — the key pins the exact free set —
+            # which fires only if a novel objective token asks.
             entry.loader = lambda: self.table(pattern, hardware).restrict(
                 free_mask
             )
@@ -624,48 +477,52 @@ class CachedScan:
         available: FrozenSet[int] | Sequence[int],
         free_mask: Optional[int],
         token: Hashable,
-        proposal: Callable[[BatchScan], object],
+        proposal: Proposal,
     ):
         """The winner ``proposal`` selects from the request's scan,
         memoized on its cache entry under ``token``; ``None`` if the
         pattern cannot fit."""
+        if free_mask is None:
+            free_mask = self.cache.free_mask(hardware, available)
         entry = self.entry(pattern, hardware, available, free_mask)
-        return None if entry is None else entry.winner(token, proposal)
+        if entry is None:
+            return None
+        return entry.winner(
+            token,
+            lambda kept: proposal(self.table(pattern, hardware), kept, free_mask),
+        )
 
 
-def best_match_by_agg(scan: BatchScan) -> ScoredMatch:
-    """The match maximising AggBW (Greedy's objective).
+def best_row_by_agg(table: MatchTable, kept: np.ndarray) -> int:
+    """The row of the match maximising AggBW (Greedy's objective).
 
     The first maximum in subset-major, orbit-minor order — the
     tie-break towards the lexicographically smallest (subset, mapping)
-    — lies in the first kept row whose best AggBW is maximal,
-    at that row's first best orbit.
+    — lies in the first kept row whose best AggBW is maximal, at that
+    row's first best orbit (:meth:`MatchTable.match`).
     """
-    table = scan.table
-    rows = scan.kept
-    row = int(rows[np.argmax(table.agg_max[rows])])
-    return table.scored_match(row, int(table.agg_best[row]))
+    return int(kept[np.argmax(table.agg_max[kept])])
 
 
-def best_match_by_subset_score(
-    scan: BatchScan, subset_scores: np.ndarray
-) -> ScoredMatch:
-    """Maximise a subset-level score, then AggBW.
+def best_row_by_subset_score(
+    table: MatchTable, kept: np.ndarray, subset_scores: np.ndarray
+) -> int:
+    """Maximise a subset-level score over ``kept``, then AggBW.
 
-    Among the subsets attaining the maximal ``subset_scores`` value,
-    pick the match with the highest AggBW, ties towards the earliest
-    candidate.
+    Among the rows attaining the maximal ``subset_scores`` value
+    (aligned with ``kept``), pick the one with the highest AggBW, ties
+    towards the earliest candidate.
     """
-    table = scan.table
-    cand = scan.kept[subset_scores == subset_scores.max()]
-    row = int(cand[np.argmax(table.agg_max[cand])])
-    return table.scored_match(row, int(table.agg_best[row]))
+    cand = kept[subset_scores == subset_scores.max()]
+    return int(cand[np.argmax(table.agg_max[cand])])
 
 
-def best_match_by_preserved(scan: BatchScan) -> Tuple[ScoredMatch, float]:
+def best_row_by_preserved(
+    table: MatchTable, kept: np.ndarray, free_mask: int
+) -> Tuple[int, float]:
     """The Eq. 3 selection of the insensitive branch.
 
-    Deliberately *not* :func:`best_match_by_subset_score`: Algorithm 1's
+    Deliberately *not* :func:`best_row_by_subset_score`: Algorithm 1's
     insensitive branch picks the **first** subset attaining the maximal
     PreservedBW and only then tie-breaks mappings by AggBW *within that
     subset* — AggBW never arbitrates between equally-preserving
@@ -675,13 +532,8 @@ def best_match_by_preserved(scan: BatchScan) -> Tuple[ScoredMatch, float]:
     Returns
     -------
     tuple
-        The selected :class:`ScoredMatch` and its PreservedBW score.
+        The selected row and its PreservedBW score.
     """
-    table = scan.table
-    preserved = scan.subset_preserved_bw()
+    preserved = table.preserved_bw(kept, free_mask)
     s = int(np.argmax(preserved))
-    row = int(scan.kept[s])
-    return (
-        table.scored_match(row, int(table.agg_best[row])),
-        float(preserved[s]),
-    )
+    return int(kept[s]), float(preserved[s])

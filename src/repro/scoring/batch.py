@@ -161,7 +161,7 @@ def map_unique_censuses(census: np.ndarray, predict) -> np.ndarray:
 
     The one place the unique-then-``np.take`` pattern lives: both
     :func:`batch_effective_bw` and the scan's
-    :meth:`~repro.policies.scan.BatchScan.subset_effective_bw` route
+    :meth:`~repro.policies.scan.MatchTable.effective_bw` route
     through it, so the bit-identicality-critical broadcast is maintained
     in exactly one spot.
 

@@ -30,22 +30,21 @@ for superseded free sets are never *wrong* — they are exact and become
 hits again the moment the free set recurs — they are merely cold, and
 the LRU bound reclaims them.
 
-The cache stores opaque values plus a per-entry ``winners`` memo for
+The cache stores opaque values plus a per-entry winner memo for
 argmax selections, and counts lookups, hits, misses and evictions so
 replays can report steady-state hit rates.  The policies' values are
-:class:`~repro.policies.scan.BatchScan` *restrictions*: the kept row
-indices and free mask of a per-(wiring, pattern)
+*restrictions*: the kept row indices of a per-(wiring, pattern)
 :class:`~repro.policies.scan.MatchTable` that the cached front-end
-keeps in this cache's :attr:`ScanCache.aux` side-car — entries hold no
-dense arrays of their own.  The cache is deliberately engine-agnostic:
-nothing here imports the policy layer, which keeps the dependency
-arrow pointing downward.
+keeps in this cache's :attr:`ScanCache.aux` side-car, and their
+winners are complete :class:`~repro.policies.base.Allocation` objects.
+The cache is deliberately engine-agnostic: nothing here imports the
+policy layer, which keeps the dependency arrow pointing downward.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -109,11 +108,11 @@ class CacheStats:
         }
 
 
-@dataclass
 class CacheEntry:
     """One cached scan plus the memoized winners selected from it.
 
-    ``value`` is the completed scan (opaque to this module).
+    ``value`` is the completed scan (opaque to this module; the cached
+    scan front-end stores the kept rows of a match table).
     ``winners`` memoizes argmax selections per objective token — e.g.
     Greedy's AggBW winner, Preserve's Eq. 2 winner under a specific
     coefficient vector — so a cache hit skips not only the scan build
@@ -132,10 +131,19 @@ class CacheEntry:
     bit-identical to the one that was spilled.
     """
 
-    key: ScanKey
-    value: Any
-    winners: Dict[Hashable, Any] = field(default_factory=dict)
-    loader: Optional[Callable[[], Any]] = None
+    __slots__ = ("key", "value", "winners", "loader")
+
+    def __init__(
+        self,
+        key: ScanKey,
+        value: Any,
+        winners: Optional[Mapping[Hashable, Any]] = None,
+        loader: Optional[Callable[[], Any]] = None,
+    ) -> None:
+        self.key = key
+        self.value = value
+        self.winners: Dict[Hashable, Any] = dict(winners) if winners else {}
+        self.loader = loader
 
     def materialize(self) -> Any:
         """The scan value, rebuilding a spill-rehydrated entry on demand."""
@@ -260,7 +268,7 @@ class ScanCache:
         Returns the (fresh) :class:`CacheEntry`; re-inserting an
         existing key replaces the entry and its winner memo.
         """
-        entry = CacheEntry(key=key, value=value)
+        entry = CacheEntry(key, value)
         self._entries[key] = entry
         self._entries.move_to_end(key)
         if self.capacity is not None:
@@ -288,7 +296,7 @@ class ScanCache:
             return self._entries[key]
         if self.capacity is not None and len(self._entries) >= self.capacity:
             return None
-        entry = CacheEntry(key=key, value=None, winners=dict(winners))
+        entry = CacheEntry(key, None, winners)
         self._entries[key] = entry
         return entry
 

@@ -34,16 +34,13 @@ from dataclasses import dataclass, field
 from typing import Any, List, Optional, Sequence, Tuple
 
 from reference.easy_backfill import ReferenceEasyBackfill, reference_earliest_fit_time
-from reference.scan import scalar_policy
+from reference.scan import annotate, scalar_policy
 from repro.allocator.mapa import Mapa
 from repro.cluster import run_cluster
 from repro.cluster.scheduler import ClusterPlacement, MultiServerScheduler
 from repro.comm.microbench import peak_effective_bandwidth
 from repro.policies.base import Allocation, AllocationRequest
-from repro.scoring.aggregate import aggregated_bandwidth
-from repro.scoring.census import census_of_allocation
 from repro.scoring.effective import EffectiveBandwidthModel, PAPER_MODEL
-from repro.scoring.preserved import preserved_bandwidth
 from repro.sim.core import PlacedJob, SimulationCore
 from repro.sim.disciplines import QueueDiscipline, make_discipline
 from repro.sim.engine import _REL_EPS, DEFAULT_PRIORITY
@@ -190,27 +187,22 @@ REFERENCE_BODIES = {"fifo": PlaceCommitFifo, "easy-backfill": ReferenceEasyBackf
 class ReferenceMapa(Mapa):
     """MAPA that scores every committed allocation from scratch."""
 
-    def _annotate(
-        self, alloc: Allocation, available, job_id
-    ) -> Allocation:
-        """The full score vector, with no memo: policy-filled scores win,
-        the census is always rewritten from the matched GPU set."""
+    def _annotate(self, alloc: Allocation, available) -> Allocation:
+        """The full score vector, with no memo.
+
+        The policy's own objective scores (a proposal's items before its
+        census, when it carries one) win; the census, and AggBW, Eq. 2
+        and Eq. 3 unless the objective set them, are recomputed from
+        the matched GPU set by :func:`reference.scan.annotate`, whatever
+        else the proposal carries.
+        """
         match = alloc.match
-        scores = dict(alloc.scores)
+        scores = dict(
+            itertools.takewhile(lambda item: item[0] != "census_x", alloc.scores.items())
+        )
         if match is not None:
-            census = census_of_allocation(self.hardware, alloc.gpus)
-            if "agg_bw" not in scores:
-                scores["agg_bw"] = aggregated_bandwidth(self.hardware, match)
-            scores["census_x"] = float(census.x)
-            scores["census_y"] = float(census.y)
-            scores["census_z"] = float(census.z)
-            if "effective_bw" not in scores:
-                scores["effective_bw"] = self.model.predict_census(census)
-            if "preserved_bw" not in scores:
-                scores["preserved_bw"] = preserved_bandwidth(
-                    self.hardware, match, available
-                )
-        return Allocation(gpus=alloc.gpus, match=match, scores=scores, job_id=job_id)
+            scores = annotate(scores, self.hardware, match, available, self.model)
+        return Allocation(gpus=alloc.gpus, match=match, scores=scores)
 
 
 class ReferenceScheduler(MultiServerScheduler):

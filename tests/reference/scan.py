@@ -18,26 +18,239 @@ those tables replaced:
   :func:`~repro.scoring.preserved.remaining_bandwidth`.
 
 The differential tests require the production policies to make
-bit-identical decisions.  :func:`scalar_policy` builds one by registry
-name, which is how :class:`reference.replay.ReferenceScheduler` replays
-a whole fleet on the scalar walk (``engine="scalar"``).
+bit-identical decisions, complete score vector included: the scalar
+policies score their winner with
+:func:`~repro.scoring.census.census_of_allocation` and
+:func:`~repro.scoring.preserved.preserved_bandwidth`, in the key order
+the production proposals carry.  :func:`scalar_policy` builds one by
+registry name, which is how :class:`reference.replay.ReferenceScheduler`
+replays a whole fleet on the scalar walk (``engine="scalar"``).
+
+:class:`BatchScan` keeps the dense per-scan arrays (subsets, censuses,
+match censuses, AggBW, pair bandwidths) that a restriction of a
+:class:`~repro.policies.scan.MatchTable` used to expose, computed from
+the table's rows, so the tests can compare a restriction with a dense
+build attribute by attribute.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+import numpy as np
 
 from repro.appgraph.application import ApplicationGraph
 from repro.comm.microbench import peak_effective_bandwidth
-from repro.matching.candidates import match_from_mapping, orbit_permutations
+from repro.matching.candidates import Match, match_from_mapping, orbit_permutations
+from repro.policies import scan as production
 from repro.policies.base import Allocation, AllocationPolicy, AllocationRequest
 from repro.policies.registry import make_policy
-from repro.policies.scan import ScoredMatch, _orbit_index_pairs
-from repro.scoring.census import LinkCensus
+from repro.policies.scan import MatchTable, _orbit_incidence, _orbit_index_pairs
+from repro.scoring import batch as batch_scoring
+from repro.scoring.aggregate import aggregated_bandwidth
+from repro.scoring.census import LinkCensus, census_of_allocation
 from repro.scoring.effective import EffectiveBandwidthModel, PAPER_MODEL
-from repro.scoring.preserved import remaining_bandwidth
+from repro.scoring.preserved import preserved_bandwidth, remaining_bandwidth
 from repro.topology.hardware import HardwareGraph
+
+
+@dataclass(frozen=True)
+class ScoredMatch:
+    """A candidate match with its cheap scores precomputed.
+
+    ``census`` is the induced (x, y, z) census of the matched GPU set —
+    the Eq. 2 input; ``match_census`` counts only the links the pattern's
+    edges occupy; ``agg_bw`` is Eq. 1 over those same mapped edges.
+    """
+
+    subset: Tuple[int, ...]
+    mapping: Tuple[int, ...]
+    census: LinkCensus
+    match_census: LinkCensus
+    agg_bw: float
+
+
+def scored_match(table: MatchTable, row: int, o: int) -> ScoredMatch:
+    """Table match ``(row, orbit o)`` as a :class:`ScoredMatch`.
+
+    The match census is counted from the link classes of the orbit's
+    edges.
+    """
+    local = table.subsets[row].tolist()
+    subset = tuple(table.verts[i] for i in local)
+    counts = [0, 0, 0]
+    for a, b in _orbit_index_pairs(table.pattern)[o]:
+        counts[int(table.codes[local[a], local[b]])] += 1
+    x, y, z = table.census[row].tolist()
+    return ScoredMatch(
+        subset=subset,
+        mapping=tuple(subset[p] for p in table.orbits[o]),
+        census=LinkCensus(x, y, z),
+        match_census=LinkCensus(counts[0], counts[1], counts[2]),
+        agg_bw=float(table.agg_bw[row, o]),
+    )
+
+
+class BatchScan:
+    """The dense candidate space of one scan: a restriction of a table.
+
+    ``(table, kept rows, free mask)``: restricted subset ``s`` is table
+    row ``kept[s]``, and match ``(s, o)`` is the ``s * num_orbits +
+    o``-th match in candidate order.  The array attributes equal
+    (order, dtype, values) a dense build over the free GPUs.
+
+    Attributes
+    ----------
+    verts:
+        The free GPUs, sorted ascending (the subset universe).
+    subsets_local:
+        ``(S, k)`` candidate subsets as indices into ``verts``.
+    induced_census:
+        ``(S, 3)`` induced (x, y, z) census of each subset.
+    match_census:
+        ``(S, O, 3)`` census of the links each match's edges occupy.
+    agg_bw:
+        ``(S, O)`` Eq. 1 AggBW per match.
+    subset_pair_bw:
+        ``(S, P)`` pairwise bandwidths of each subset.
+    free_bandwidth:
+        ``(m, m)`` bandwidth matrix over ``verts`` (zero diagonal).
+    """
+
+    def __init__(self, table: MatchTable, kept: np.ndarray, free_mask: int) -> None:
+        self.table = table
+        self.kept = kept
+        self.free_mask = free_mask
+
+    @property
+    def pattern(self) -> ApplicationGraph:
+        return self.table.pattern
+
+    @property
+    def orbits(self) -> Tuple[Tuple[int, ...], ...]:
+        return self.table.orbits
+
+    @property
+    def num_subsets(self) -> int:
+        return self.kept.shape[0]
+
+    @property
+    def num_orbits(self) -> int:
+        return len(self.table.orbits)
+
+    @property
+    def num_matches(self) -> int:
+        return self.num_subsets * self.num_orbits
+
+    @cached_property
+    def free_index(self) -> np.ndarray:
+        """Table-universe indices of the free GPUs, ascending."""
+        mask = self.free_mask
+        return np.array(
+            [i for i in range(len(self.table.verts)) if mask >> i & 1],
+            dtype=np.intp,
+        )
+
+    @cached_property
+    def verts(self) -> Tuple[int, ...]:
+        verts = self.table.verts
+        return tuple([verts[i] for i in self.free_index.tolist()])
+
+    @property
+    def _subsets(self) -> np.ndarray:
+        return self.table.subsets[self.kept]
+
+    @cached_property
+    def subsets_local(self) -> np.ndarray:
+        rank = np.full(len(self.table.verts), -1, dtype=np.intp)
+        rank[self.free_index] = np.arange(self.free_index.size, dtype=np.intp)
+        return rank[self._subsets]
+
+    @cached_property
+    def induced_census(self) -> np.ndarray:
+        return self.table.census[self.kept]
+
+    @cached_property
+    def agg_bw(self) -> np.ndarray:
+        return self.table.agg_bw[self.kept]
+
+    @cached_property
+    def match_census(self) -> np.ndarray:
+        a_idx, b_idx = batch_scoring.pair_slots(self.pattern.num_gpus)
+        subsets = self._subsets
+        codes = self.table.codes[subsets[:, a_idx], subsets[:, b_idx]]
+        incidence = _orbit_incidence(self.pattern)
+        out = np.empty((self.num_subsets, self.num_orbits, 3), dtype=np.int64)
+        for axis, c in enumerate(batch_scoring.CLASS_CODES):
+            out[..., axis] = (codes == c) @ incidence
+        return out
+
+    @cached_property
+    def subset_pair_bw(self) -> np.ndarray:
+        a_idx, b_idx = batch_scoring.pair_slots(self.pattern.num_gpus)
+        subsets = self._subsets
+        return self.table.bandwidth[subsets[:, a_idx], subsets[:, b_idx]]
+
+    @cached_property
+    def free_bandwidth(self) -> np.ndarray:
+        index = self.free_index
+        return self.table.bandwidth[index[:, None], index]
+
+    def subset(self, s: int) -> Tuple[int, ...]:
+        return self.table.subset(int(self.kept[s]))
+
+    def scored_match(self, s: int, o: int) -> ScoredMatch:
+        return scored_match(self.table, int(self.kept[s]), o)
+
+    def subset_effective_bw(
+        self,
+        predict: Callable[[LinkCensus], float],
+        token: Optional[Hashable] = None,
+    ) -> np.ndarray:
+        """Eq. 2 of every subset; through the table's memo under ``token``."""
+        if token is None:
+            return batch_scoring.map_unique_censuses(
+                self.induced_census, lambda x, y, z: predict(LinkCensus(x, y, z))
+            )
+        return self.table.effective_bw(predict, token)[self.kept]
+
+    def subset_preserved_bw(self) -> np.ndarray:
+        """Eq. 3 of every subset against the free set."""
+        table = self.table
+        free = np.zeros(len(table.verts), dtype=np.float64)
+        free[self.free_index] = 1.0
+        return batch_scoring.batch_preserved_bw(
+            table.bandwidth, free, self._subsets, table.within[self.kept]
+        )
+
+
+def restriction(table: MatchTable, free_mask: int) -> Optional[BatchScan]:
+    """``table`` restricted to ``free_mask`` as a dense :class:`BatchScan`."""
+    kept = table.restrict(free_mask)
+    return None if kept is None else BatchScan(table, kept, free_mask)
+
+
+def batch_scan(
+    pattern: ApplicationGraph,
+    hardware: HardwareGraph,
+    available: FrozenSet[int] | Sequence[int],
+) -> Optional[BatchScan]:
+    """:func:`repro.policies.scan.batch_scan` as a dense :class:`BatchScan`."""
+    table = production.batch_scan(pattern, hardware, available)
+    return None if table is None else restriction(table, table.full_mask)
 
 
 def scan_scored_matches(
@@ -175,10 +388,23 @@ def most_preserving_match(
     return best, best_score
 
 
-def _allocation(pattern: ApplicationGraph, best: ScoredMatch, scores) -> Allocation:
-    return Allocation(
-        gpus=best.subset, match=match_from_mapping(pattern, best.mapping), scores=scores
-    )
+def _allocation(
+    pattern: ApplicationGraph,
+    hardware: HardwareGraph,
+    available: FrozenSet[int] | Sequence[int],
+    best: ScoredMatch,
+    scores: Dict[str, float],
+) -> Allocation:
+    """The complete proposal: the objective's scores (ending with
+    ``agg_bw``), the induced census, then Eq. 3 unless already there."""
+    match = match_from_mapping(pattern, best.mapping)
+    census = census_of_allocation(hardware, best.subset)
+    scores["census_x"] = float(census.x)
+    scores["census_y"] = float(census.y)
+    scores["census_z"] = float(census.z)
+    if "preserved_bw" not in scores:
+        scores["preserved_bw"] = preserved_bandwidth(hardware, match, available)
+    return Allocation(gpus=best.subset, match=match, scores=scores)
 
 
 class ScalarGreedy(AllocationPolicy):
@@ -197,7 +423,9 @@ class ScalarGreedy(AllocationPolicy):
         best = best_scored_match(
             request.pattern, hardware, available, key=lambda sm: sm.agg_bw
         )
-        return _allocation(request.pattern, best, {"agg_bw": best.agg_bw})
+        return _allocation(
+            request.pattern, hardware, available, best, {"agg_bw": best.agg_bw}
+        )
 
 
 class ScalarPreserve(AllocationPolicy):
@@ -227,7 +455,7 @@ class ScalarPreserve(AllocationPolicy):
             best, preserved = most_preserving_match(pattern, hardware, available)
             scores = {"preserved_bw": preserved}
         scores.update(effective_bw=predict(best.census), agg_bw=best.agg_bw)
-        return _allocation(pattern, best, scores)
+        return _allocation(pattern, hardware, available, best, scores)
 
 
 class ScalarOracle(AllocationPolicy):
@@ -266,7 +494,7 @@ class ScalarOracle(AllocationPolicy):
             best, preserved = most_preserving_match(pattern, hardware, available)
             scores = {"preserved_bw": preserved}
         scores["agg_bw"] = best.agg_bw
-        return _allocation(pattern, best, scores)
+        return _allocation(pattern, hardware, available, best, scores)
 
 
 def scalar_policy(
@@ -284,3 +512,56 @@ def scalar_policy(
     if key == "oracle":
         return ScalarOracle()
     return make_policy(name, model)
+
+
+def objective_scores(
+    policy: str,
+    sensitive: bool,
+    hardware: HardwareGraph,
+    match: Match,
+    available: FrozenSet[int] | Sequence[int],
+    model: EffectiveBandwidthModel = PAPER_MODEL,
+) -> Dict[str, float]:
+    """The scores a scanning policy selects by, recomputed for ``match``:
+    the head of its proposal, in key order, ending with ``agg_bw``."""
+    agg = aggregated_bandwidth(hardware, match)
+    if policy == "greedy":
+        return {"agg_bw": agg}
+    head: Dict[str, float] = {}
+    if not sensitive:
+        head["preserved_bw"] = preserved_bandwidth(hardware, match, available)
+    if policy == "oracle":
+        if sensitive:
+            head["measured_bw"] = peak_effective_bandwidth(hardware, match.vertices)
+    else:
+        census = census_of_allocation(hardware, match.vertices)
+        head["effective_bw"] = model.predict_census(census)
+    head["agg_bw"] = agg
+    return head
+
+
+def annotate(
+    head: Dict[str, float],
+    hardware: HardwareGraph,
+    match: Match,
+    available: FrozenSet[int] | Sequence[int],
+    model: EffectiveBandwidthModel,
+) -> Dict[str, float]:
+    """The committed score vector, recomputed from scratch.
+
+    ``head`` first, then AggBW unless present, the induced census,
+    Eq. 2 under ``model`` unless present and Eq. 3 unless present —
+    the key order :class:`~repro.allocator.mapa.Mapa` commits.
+    """
+    scores = dict(head)
+    if "agg_bw" not in scores:
+        scores["agg_bw"] = aggregated_bandwidth(hardware, match)
+    census = census_of_allocation(hardware, match.vertices)
+    scores["census_x"] = float(census.x)
+    scores["census_y"] = float(census.y)
+    scores["census_z"] = float(census.z)
+    if "effective_bw" not in scores:
+        scores["effective_bw"] = model.predict_census(census)
+    if "preserved_bw" not in scores:
+        scores["preserved_bw"] = preserved_bandwidth(hardware, match, available)
+    return scores

@@ -8,8 +8,10 @@
 
 import os
 
+import pytest
+
 from repro.cli import build_parser
-from repro.docgen import cli_reference_markdown
+from repro.docgen import cli_reference_markdown, main
 
 DOCS_CLI = os.path.join(os.path.dirname(__file__), "..", "docs", "cli.md")
 
@@ -46,3 +48,28 @@ def test_cli_page_documents_sweep_flags():
 
 def test_generation_is_deterministic():
     assert cli_reference_markdown() == cli_reference_markdown()
+
+
+def test_help_prints_usage_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unknown_flag_exits_2_and_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--bogus"])
+    assert exit_info.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_output_path_receives_the_page(tmp_path, capsys):
+    out = tmp_path / "cli.md"
+    assert main([str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == cli_reference_markdown()
+    assert main([]) == 0
+    assert capsys.readouterr().out.endswith(cli_reference_markdown())

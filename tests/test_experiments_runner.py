@@ -14,7 +14,13 @@ from repro.experiments import (
     TraceSpec,
     run_experiment,
 )
-from repro.experiments.runner import _dispatch_plan, _refit_model, _worker_cache_probe
+from repro.experiments import runner as runner_module
+from repro.experiments.runner import (
+    _dispatch_plan,
+    _refit_model,
+    _worker_cache_probe,
+    simulate_cell,
+)
 from repro.scoring.regression import fit_for_hardware
 from repro.sim.cluster import run_all_policies
 
@@ -27,6 +33,28 @@ def small_spec():
         disciplines=("fifo", "backfill"),
         trace=TraceSpec(num_jobs=12),
     )
+
+
+class TestTraceMemo:
+    def test_four_policy_cells_build_their_trace_once(self, monkeypatch):
+        spec = ExperimentSpec(name="trace-memo", trace=TraceSpec(num_jobs=15, seed=7))
+        builds = []
+        build = TraceSpec.build
+
+        def counting(self):
+            builds.append(self)
+            return build(self)
+
+        monkeypatch.setattr(TraceSpec, "build", counting)
+        runner_module._built_trace.cache_clear()
+        outcome = SweepRunner(jobs=1).run(spec)
+        assert outcome.num_cells == 4
+        assert len(builds) == 1
+        for cell, result in outcome.results.items():
+            runner_module._built_trace.cache_clear()
+            fresh = simulate_cell(cell)
+            assert fresh.log.to_dict() == result.log.to_dict()
+        assert len(builds) == 5
 
 
 class TestSerialSweep:

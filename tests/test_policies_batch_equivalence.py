@@ -18,7 +18,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reference.scan import ScalarGreedy, ScalarOracle, ScalarPreserve
+from reference.scan import (
+    ScalarGreedy,
+    ScalarOracle,
+    ScalarPreserve,
+    batch_scan,
+    restriction,
+)
 from repro.allocator.mapa import Mapa
 from repro.appgraph import patterns
 from repro.policies.base import AllocationRequest
@@ -26,7 +32,7 @@ from repro.policies.greedy import GreedyPolicy
 from repro.policies.oracle import OraclePolicy
 from repro.policies.preserve import PreservePolicy
 from repro.policies.registry import make_policy
-from repro.policies.scan import SCAN_ENGINES, CachedScan, batch_scan
+from repro.policies.scan import SCAN_ENGINES, CachedScan
 from repro.scoring.effective import PAPER_MODEL
 from repro.scoring.memo import ScanCache
 from repro.scoring.regression import fit_for_hardware
@@ -145,7 +151,7 @@ def _assert_restriction_equals_dense(pattern, hardware, free):
     """The server-wide table restricted to ``free`` == a build over ``free``."""
     cached = CachedScan()
     mask = cached.cache.free_mask(hardware, free)
-    scan = cached.table(pattern, hardware).restrict(mask)
+    scan = restriction(cached.table(pattern, hardware), mask)
     dense = batch_scan(pattern, hardware, free)
     if dense is None:
         assert scan is None

@@ -9,11 +9,12 @@ the counter invariants (``hits + misses == lookups``,
 sets/bitmasks stay in lockstep with the actual free pool.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference.scan import ScalarGreedy
+from reference.scan import BatchScan, ScalarGreedy
 from repro.allocator.state import AllocationState
 from repro.appgraph import patterns
 from repro.cluster import MultiServerScheduler
@@ -188,23 +189,24 @@ class TestMatchTables:
         )
         table = warmed.aux[("match-table", hw.topology_hash, pattern_id(pattern))]
         (entry,) = warmed.entries()
-        assert entry.value.table is table
-        assert entry.value.verts == tuple(sorted(free))
+        mask = warmed.free_mask(hw, free)
+        np.testing.assert_array_equal(entry.value, table.restrict(mask))
+        assert BatchScan(table, entry.value, mask).verts == tuple(sorted(free))
 
     def test_clear_drops_tables_and_caches_never_share_one(self):
         hw = dgx1_v100()
         pattern = patterns.ring(3)
         a, b = CachedScan(), CachedScan()
-        entry_a = a.entry(pattern, hw, hw.gpus)
-        entry_b = b.entry(pattern, hw, hw.gpus)
-        assert entry_a.value.table is a.table(pattern, hw)
-        assert entry_b.value.table is b.table(pattern, hw)
-        assert a.table(pattern, hw) is not b.table(pattern, hw)
-        assert len(_tables(a.cache)) == len(_tables(b.cache)) == 1
+        a.entry(pattern, hw, hw.gpus)
+        b.entry(pattern, hw, hw.gpus)
+        table_a, table_b = a.table(pattern, hw), b.table(pattern, hw)
+        assert table_a is not table_b
+        assert _tables(a.cache) == [table_a]
+        assert _tables(b.cache) == [table_b]
         a.cache.clear()
         assert _tables(a.cache) == []
-        assert a.table(pattern, hw) is not entry_a.value.table
-        assert _tables(b.cache) == [entry_b.value.table]
+        assert a.table(pattern, hw) is not table_a
+        assert _tables(b.cache) == [table_b]
 
     def test_one_table_per_wiring_and_pattern_across_a_fleet(self):
         # Identically wired servers and every free set share one table.

@@ -17,9 +17,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reference.scan import scan_scored_matches
+from reference.scan import batch_scan, scan_scored_matches
 from repro.appgraph import patterns
-from repro.policies.scan import batch_scan
 from repro.scoring import batch as batch_scoring
 from repro.scoring.census import census_of_edges
 from repro.scoring.effective import PAPER_MODEL
@@ -154,6 +153,9 @@ def test_batch_scan_bit_identical_to_scalar_scan(topo, shape, k, data):
 
     # Eq. 3 per subset vs the scalar remaining-bandwidth sum.
     preserved = scan.subset_preserved_bw()
+    np.testing.assert_array_equal(
+        scan.table.preserved_bw(scan.kept, scan.free_mask), preserved
+    )
     free_set = set(free)
     for s, subset in enumerate(combinations(sorted(free_set), k)):
         assert preserved[s] == remaining_bandwidth(

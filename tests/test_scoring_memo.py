@@ -2,9 +2,10 @@
 
 import pytest
 
+from reference.scan import BatchScan, batch_scan
 from repro.appgraph import patterns
 from repro.appgraph.application import ApplicationGraph
-from repro.policies.scan import CachedScan, batch_scan
+from repro.policies.scan import CachedScan
 from repro.scoring.memo import (
     DEFAULT_CAPACITY,
     CacheEntry,
@@ -175,12 +176,12 @@ class TestCachedScan:
         pattern = patterns.ring(3)
         cached = CachedScan()
         entry = cached.entry(pattern, hw, hw.gpus)
+        mask = cached.cache.free_mask(hw, hw.gpus)
+        value = BatchScan(cached.table(pattern, hw), entry.value, mask)
         fresh = batch_scan(pattern, hw, hw.gpus)
-        np.testing.assert_array_equal(entry.value.agg_bw, fresh.agg_bw)
-        np.testing.assert_array_equal(
-            entry.value.induced_census, fresh.induced_census
-        )
-        assert entry.value.verts == fresh.verts
+        np.testing.assert_array_equal(value.agg_bw, fresh.agg_bw)
+        np.testing.assert_array_equal(value.induced_census, fresh.induced_census)
+        assert value.verts == fresh.verts
 
     def test_repeat_entry_is_a_hit_returning_same_object(self):
         hw = dgx1_v100()

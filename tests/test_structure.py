@@ -16,6 +16,7 @@ The test reads source files with ``ast`` only and imports nothing from
 
 import ast
 import importlib.util
+import re
 import sys
 import sysconfig
 from collections import Counter
@@ -23,7 +24,8 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Set, Tuple
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
 
 #: Where this interpreter's standard library lives.
 STDLIB = Path(sysconfig.get_paths()["stdlib"]).resolve()
@@ -33,18 +35,18 @@ LARGE_MODULE = 800
 
 #: ``package -> lines`` under ``src/repro`` (``.`` is the top-level modules).
 PACKAGE_LINES = {
-    ".": 1800,
-    "allocator": 829,
+    ".": 1811,
+    "allocator": 863,
     "analysis": 595,
     "appgraph": 502,
-    "cluster": 2454,
+    "cluster": 2456,
     "comm": 858,
     "data": 78,
-    "experiments": 1770,
+    "experiments": 1791,
     "matching": 521,
-    "policies": 1330,
+    "policies": 1206,
     "scenarios": 1288,
-    "scoring": 1198,
+    "scoring": 1206,
     "serve": 1467,
     "sim": 2633,
     "topology": 1297,
@@ -52,12 +54,12 @@ PACKAGE_LINES = {
 }
 
 #: Lines of every ``.py`` file under ``src/repro``.
-TOTAL_LINES = 19237
+TOTAL_LINES = 19189
 
 #: ``module -> lines`` for every module over :data:`LARGE_MODULE` lines.
 LARGE_MODULES = {
     "cli.py": 1486,
-    "cluster/scheduler.py": 857,
+    "cluster/scheduler.py": 859,
     "cluster/sharding.py": 1414,
     "serve/daemon.py": 900,
     "sim/records.py": 908,
@@ -84,7 +86,7 @@ ALL_NAMES = {
     "data": 6,
     "experiments": 32,
     "matching": 13,
-    "policies": 19,
+    "policies": 17,
     "scenarios": 23,
     "scoring": 27,
     "serve": 17,
@@ -92,6 +94,13 @@ ALL_NAMES = {
     "topology": 32,
     "workloads": 16,
 }
+
+#: ``tree -> engine= sites``: word-boundary matches of ``engine=`` in the
+#: tree's ``.py`` files (keyword arguments, parameters and docstrings
+#: alike); ``benchmarks/perf/`` is left out.  Each site selects or
+#: names one of the parallel scan sources, so the count should only go
+#: down.
+ENGINE_SITES = {"src": 21, "benchmarks": 6}
 
 #: Top-level third-party modules imported anywhere under ``src/repro``.
 THIRD_PARTY = {"networkx", "numpy"}
@@ -178,6 +187,20 @@ def all_names() -> Dict[str, int]:
     return counts
 
 
+def engine_sites() -> Dict[str, int]:
+    """``tree -> engine= sites`` over :data:`ENGINE_SITES`' trees."""
+    pattern = re.compile(r"\bengine=")
+    counts = {}
+    for tree in ENGINE_SITES:
+        root = ROOT / tree
+        counts[tree] = sum(
+            len(pattern.findall(path.read_text(encoding="utf-8")))
+            for path in root.rglob("*.py")
+            if path.relative_to(root).parts[0] != "perf"
+        )
+    return counts
+
+
 def package_lines() -> Dict[str, int]:
     """``package -> lines``; top-level modules count under ``.``."""
     counts: Counter = Counter()
@@ -209,6 +232,10 @@ def test_all_names_are_pinned():
     assert all_names() == ALL_NAMES
 
 
+def test_engine_sites_are_pinned():
+    assert engine_sites() == ENGINE_SITES
+
+
 def test_third_party_imports_are_pinned():
     assert scan()[2] == THIRD_PARTY
 
@@ -232,6 +259,7 @@ if __name__ == "__main__":  # pragma: no cover - table regeneration
                 "BROAD_EXCEPTS": scan()[1],
                 "THIRD_PARTY": sorted(scan()[2]),
                 "ALL_NAMES": all_names(),
+                "ENGINE_SITES": engine_sites(),
             },
             indent=4,
         )

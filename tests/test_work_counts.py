@@ -23,6 +23,7 @@ from typing import Dict
 
 import pytest
 
+from repro.allocator import mapa
 from repro.cluster import MultiServerScheduler, run_cluster
 from repro.comm import microbench
 from repro.scenarios import PoissonArrivals, ScenarioSpec, mixed_fleet, paper_mix
@@ -53,6 +54,15 @@ SEAMS = {
     "scheduler.try_place": (MultiServerScheduler, "try_place"),
 }
 
+#: ``module attribute -> counter``: calls made from the module count once.
+#: ``mapa.rescore`` is every score :class:`~repro.allocator.mapa.Mapa`
+#: computes itself instead of reading it off the policy's proposal.
+RESCORES = {
+    "census_of_allocation": "mapa.rescore",
+    "preserved_bandwidth": "mapa.rescore",
+    "aggregated_bandwidth": "mapa.rescore",
+}
+
 #: Pinned counts.  ``engine.events`` counts the events popped (not the
 #: final empty pop), ``discipline.schedule`` the discipline's calls and
 #: ``scan.*``/``measured.*`` the replay's cache lookups.  Counters that
@@ -67,6 +77,7 @@ GOLDEN: Dict[str, Dict[str, int]] = {
         "core.try_start": 300,
         "discipline.schedule": 600,
         "engine.events": 600,
+        "mapa.rescore": 0,
         "measured.bw_lookups": 229,
         "scan.hits": 0,
         "scan.lookups": 0,
@@ -81,6 +92,7 @@ GOLDEN: Dict[str, Dict[str, int]] = {
         "core.try_start": 300,
         "discipline.schedule": 600,
         "engine.events": 600,
+        "mapa.rescore": 0,
         "measured.bw_lookups": 229,
         "scan.hits": 18,
         "scan.lookups": 263,
@@ -95,6 +107,7 @@ GOLDEN: Dict[str, Dict[str, int]] = {
         "core.try_start": 300,
         "discipline.schedule": 600,
         "engine.events": 600,
+        "mapa.rescore": 0,
         "measured.bw_lookups": 229,
         "scan.hits": 30,
         "scan.lookups": 120,
@@ -109,6 +122,7 @@ GOLDEN: Dict[str, Dict[str, int]] = {
         "core.try_start": 300,
         "discipline.schedule": 600,
         "engine.events": 600,
+        "mapa.rescore": 0,
         "measured.bw_lookups": 229,
         "scan.hits": 34,
         "scan.lookups": 146,
@@ -123,6 +137,7 @@ GOLDEN: Dict[str, Dict[str, int]] = {
         "core.try_start": 0,
         "discipline.schedule": 600,
         "engine.events": 600,
+        "mapa.rescore": 0,
         "measured.bw_lookups": 638,
         "scan.hits": 24,
         "scan.lookups": 292,
@@ -187,6 +202,8 @@ def work_counts(case: str, patch) -> Dict[str, int]:
     for name, (owner, method) in SEAMS.items():
         patch(owner, method, _counting(counts, name, getattr(owner, method)))
     patch(EventEngine, "pop", _counting_pop(counts, EventEngine.pop))
+    for name, counter in RESCORES.items():
+        patch(mapa, name, _counting(counts, counter, getattr(mapa, name)))
     discipline = type(make_discipline(scheduling))
     patch(
         discipline,
@@ -206,7 +223,8 @@ def work_counts(case: str, patch) -> Dict[str, int]:
     stats = sim.log.cache_stats
     for name in ("scan_lookups", "scan_hits", "measured_bw_lookups"):
         counts[name.replace("_", ".", 1)] = stats[name]
-    return {name: counts[name] for name in sorted(set(SEAMS) | set(counts))}
+    names = set(SEAMS) | set(RESCORES.values()) | set(counts)
+    return {name: counts[name] for name in sorted(names)}
 
 
 @pytest.mark.parametrize("case", list(CASES))
